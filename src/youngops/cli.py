@@ -38,7 +38,12 @@ def _parse_tableau(text: str) -> YoungTableau:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad tableau JSON: {exc}") from None
-        return YoungTableau.from_dict(data)
+        try:
+            return YoungTableau.from_dict(data)
+        except KeyError as exc:
+            raise ValueError(f"bad tableau JSON: missing key {exc}") from None
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"bad tableau JSON: {exc}") from None
     return YoungTableau.from_string(text)
 
 
@@ -48,8 +53,11 @@ def _emit(payload: dict | list, json_out: str | None, *,
     if also_stdout:
         sys.stdout.write(text)
     if json_out:
-        with open(json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(json_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {json_out}: {exc.strerror}") from None
 
 
 def _operator_for(args: argparse.Namespace):

@@ -19,6 +19,11 @@ MAX_N_ENV = "HY_MAX_N"
 # (primitivity / inequivalence checks).
 DEFAULT_SCAN_MAX_N = 5
 
+# Largest degree of a group-algebra element.  Elements are stored over
+# all n! permutations and multiplied through an n! x n! composition
+# table: 50 MB of int16 at n = 7, but 6.5 GB of int32 at n = 8.
+ALGEBRA_MAX_N = 7
+
 # Largest N**n for tensor realizations (243*16 headroom over N=3, n=5).
 DEFAULT_SIZE_CAP = 4096
 

@@ -59,6 +59,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals its Fraction, so it must hash like one.
+        if self.degree <= 0:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":

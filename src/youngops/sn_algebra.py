@@ -1,33 +1,58 @@
 """Exact arithmetic in the group algebra A(S_n).
 
-An AlgebraElement is a finite formal sum of permutations with exact
-rational coefficients (Fractions).  On top of the ring operations this
-module builds (anti)symmetrizers, Young operators Y_T, their Hermitian
-counterparts P_T, the *-involution, trace polynomials in the tensor
-dimension N, and the algebraic partial trace over the last slot.
+An AlgebraElement is a formal sum sum_sigma c_sigma * sigma over S_n
+with exact rational coefficients.  It is stored densely: one integer
+numerator per permutation, indexed by the permutation's lexicographic
+rank, over one positive common denominator, in lowest terms.  The
+numerators are int64 whenever every entry fits and Python integers
+(object dtype) when one does not.  What depends on n alone -- the
+permutations in rank order, the composition table, the inverse,
+cycle-count and sign vectors, and the index maps of embedding and
+partial trace -- is held by one table per n, built on first use.
 
-Partial traces produce elements whose coefficients are Polynomials in N
-(a fixed point of the last slot contributes a factor N); the same
-AlgebraElement class carries them, and all identities remain exact.
+A product gathers, for each nonzero a_i, the row of b that sigma_i
+maps onto each target permutation (through the composition table
+comp[i, j] = rank of sigma_i sigma_j) and sums the rows weighted by a_i.
+No partial sum can exceed max|a| * max|b| * min(|supp a|, |supp b|)
+(proved at `_convolve`): while that bound is below 2**53 the sum runs in
+float64, which is then exact; below 2**63 it runs in int64, and past
+that on Python integers.  Every other fast path carries a bound of the
+same kind, so results are always exact.
+
+On top of the ring operations this module builds (anti)symmetrizers,
+Young operators Y_T, their Hermitian counterparts P_T, the *-involution,
+trace polynomials in the tensor dimension N, and the algebraic partial
+trace over the last slot.  Partial traces produce coefficients that are
+Polynomials in N (a fixed point of the last slot contributes a factor
+N); such an element holds one numerator vector per power of N over the
+same denominator, and all identities remain exact.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from functools import cache, cached_property
+from itertools import permutations as _permutations
+from math import factorial, gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .config import DEFAULT_SCAN_MAX_N, SizeLimitError, check_tableau_size
+import numpy as np
+
+from .config import (
+    ALGEBRA_MAX_N,
+    DEFAULT_SCAN_MAX_N,
+    SizeLimitError,
+    check_tableau_size,
+)
 from .permutations import (
     Perm,
     all_permutations,
-    check_perm,
     compose,
     cycle_count,
     cycle_type,
     cycles,
     identity,
     inverse,
-    embed as embed_perm,
     perms_of,
     sign,
     transposition,
@@ -64,37 +89,220 @@ TracePolynomial = Polynomial
 Coeff = Union[Fraction, Polynomial]
 Scalar = Union[int, Fraction, Polynomial]
 
+# Integers of magnitude below these are exact in float64 and int64.
+_F64_EXACT = 2 ** 53
+_I64_EXACT = 2 ** 63
 
-def _as_coeff(c: Scalar) -> Coeff:
-    if isinstance(c, (Fraction, Polynomial)):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+# Entries gathered per step of a product; bounds its temporaries.
+_CHUNK = 1 << 14
+
+
+def _powers(c: Scalar) -> tuple[Fraction, ...]:
+    """A scalar's coefficients of N**0, N**1, ... (none for zero)."""
+    if isinstance(c, Polynomial):
+        return c.coeffs
+    if isinstance(c, (int, Fraction)):
+        return (Fraction(c),) if c else ()
     raise TypeError(f"bad coefficient type {type(c).__name__}")
 
 
-class AlgebraElement:
-    """Sparse formal sum sum_sigma c_sigma * sigma over S_n.
+# -- the per-degree table ------------------------------------------------------
 
-    Terms with zero coefficient are never stored, so equality is plain
-    structural equality of the term maps.  Instances are treated as
-    immutable values; nothing mutates `terms` after construction.
+
+class _SnTable:
+    """S_n indexed by lexicographic rank, and the maps the algebra needs.
+
+    `images[i]` is permutation i in one-line form, 0-based.  A
+    permutation's code is its one-line form read as a base-n number;
+    `_rank_of_code` (n**n entries) turns codes back into ranks, so each
+    map below is built a row at a time with no n! x n! x n intermediate.
     """
 
-    __slots__ = ("n", "terms")
+    def __init__(self, n: int):
+        if not 1 <= n <= ALGEBRA_MAX_N:
+            raise SizeLimitError(
+                f"A(S_{n}) is outside the supported degrees 1..{ALGEBRA_MAX_N}: "
+                f"elements are stored over all n! permutations")
+        self.n = n
+        self.perms: list[Perm] = list(_permutations(range(1, n + 1)))
+        self.size = len(self.perms)
+        self.rank: dict[Perm, int] = {p: i for i, p in enumerate(self.perms)}
+        self.images = np.array(self.perms, dtype=np.intp).reshape(self.size, n) - 1
+        self._weights = n ** np.arange(n - 1, -1, -1)
+        self._rank_of_code = np.zeros(n ** n, dtype=np.int16)
+        self._rank_of_code[self.images @ self._weights] = np.arange(self.size)
+        self.inverse = self.ranks(np.argsort(self.images, axis=1))
+        self.cycles = np.array([cycle_count(p) for p in self.perms])
+        self.sign = np.where((n - self.cycles) % 2, -1, 1)
+
+    def ranks(self, images: np.ndarray) -> np.ndarray:
+        """Ranks of the permutations given as rows of 0-based images."""
+        return self._rank_of_code[images @ self._weights]
+
+    @cached_property
+    def comp(self) -> np.ndarray:
+        """comp[i, j] = rank of sigma_i sigma_j (sigma_j acts first)."""
+        comp = np.empty((self.size, self.size), dtype=np.int16)
+        for i, row in enumerate(self.images):
+            comp[i] = self.ranks(row[self.images])
+        return comp
+
+    def embedding(self, k: int) -> np.ndarray:
+        """Rank in S_n of each permutation of S_k (in S_k rank order)
+        extended to fix k+1, ..., n."""
+        low = sn_table(k).images
+        tail = np.broadcast_to(np.arange(k, self.n), (len(low), self.n - k))
+        return self.ranks(np.hstack([low, tail]))
+
+    @cached_property
+    def splice(self) -> np.ndarray:
+        """(n-1) x (n-1)! ranks: column t lists the permutations moving n
+        whose partial trace is permutation t of S_{n-1}.
+
+        Removing n from its cycle sends sigma^-1(n) to sigma(n); each
+        tau in S_{n-1} arises from the n-1 ways of putting n back.
+        """
+        last = self.n - 1
+        head = self.images[:, :last]
+        spliced = np.where(head == last, self.images[:, last:], head)
+        target = sn_table(last).ranks(spliced)
+        moved = np.flatnonzero(self.images[:, last] != last)
+        moved = moved[np.argsort(target[moved], kind="stable")]
+        return moved.reshape(-1, last).T
+
+
+@cache
+def sn_table(n: int) -> _SnTable:
+    """The table of S_n, built on first use and kept for the process."""
+    return _SnTable(n)
+
+
+# -- exact integer kernels ------------------------------------------------------
+
+
+def _maxabs(x: np.ndarray) -> int:
+    return int(np.abs(x).max()) if x.size else 0
+
+
+def _exact_dtype(bound: int):
+    """Cheapest dtype whose arithmetic is exact on integers below `bound`."""
+    if bound < _F64_EXACT:
+        return np.float64
+    return np.int64 if bound < _I64_EXACT else object
+
+
+def _lincomb(terms: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Exact sum of k * x over (Python int k, numerator stack x), stacks
+    padded with zero rows to the longest.  int64 when the sum of the
+    |k| * max|x| is below 2**63, which bounds every partial sum; else
+    object."""
+    rows = max(x.shape[0] for _, x in terms)
+    mags = [abs(k) * _maxabs(x) for k, x in terms]
+    dtype = np.int64 if sum(mags) < _I64_EXACT else object
+    out = np.zeros((rows, terms[0][1].shape[1]), dtype=dtype)
+    for (k, x), mag in zip(terms, mags):
+        if mag:
+            out[:x.shape[0]] += x.astype(dtype) * k
+    return out
+
+
+def _shift(x: np.ndarray, rows: int) -> np.ndarray:
+    """Multiply a stack by N**rows: prepend that many zero rows."""
+    return np.concatenate([np.zeros((rows, x.shape[1]), dtype=x.dtype), x])
+
+
+def _convolve(table: _SnTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Numerators of (sum_i a_i sigma_i)(sum_j b_j sigma_j), exact.
+
+    The coefficient of sigma_k is sum_i a_i b_j(i) with
+    sigma_j(i) = sigma_i^-1 sigma_k, so j(i) = comp[inverse[i], k]: one
+    gathered row of b per nonzero a_i, then a dot product.  Since j(i)
+    also determines i, sigma_k receives at most min(|supp a|, |supp b|)
+    nonzero terms, each at most max|a| * max|b| in magnitude, and any
+    partial sum of them, in any order or blocking, is bounded by
+
+        B = max|a| * max|b| * min(|supp a|, |supp b|).
+
+    Every product and partial sum is then an integer of magnitude at most
+    B: exact in float64 while B < 2**53 and in int64 while B < 2**63;
+    past that the dot runs on Python integers.  The rows go in chunks to
+    bound the gathered temporaries, and the factor with the smaller
+    support is gathered from, using ab = (b* a*)*.
+    """
+    rows, cols = np.flatnonzero(a), np.flatnonzero(b)
+    if len(cols) < len(rows):
+        inv = table.inverse
+        return _convolve(table, b[inv], a[inv])[inv]
+    out_len = len(a)
+    if not len(rows):
+        return np.zeros(out_len, dtype=np.int64)
+    dtype = _exact_dtype(_maxabs(a) * _maxabs(b) * len(rows))
+    av, bv = a[rows].astype(dtype), b.astype(dtype)
+    out = np.zeros(out_len, dtype=dtype)
+    step = max(1, _CHUNK // out_len)
+    for lo in range(0, len(rows), step):
+        gather = table.comp[table.inverse[rows[lo:lo + step]]]
+        out += av[lo:lo + step] @ bv[gather]
+    return out.astype(np.int64) if dtype is np.float64 else out
+
+
+# -- elements -----------------------------------------------------------------------
+
+
+def _element(n: int, num: np.ndarray, den: int) -> "AlgebraElement":
+    """The element num / den in canonical form: trailing zero powers of N
+    trimmed, lowest terms, int64 numerators whenever they fit."""
+    rows = num.shape[0]
+    while rows > 1 and not num[rows - 1].any():
+        rows -= 1
+    num = num[:rows]
+    if not num.any():
+        num, den = np.zeros(num.shape, dtype=np.int64), 1
+    g = gcd(den, int(np.gcd.reduce(num, axis=None)))
+    if g > 1:
+        num = num // g
+        den //= g
+    if num.dtype == object and _maxabs(num) < _I64_EXACT:
+        num = num.astype(np.int64)
+    num.flags.writeable = False
+    e = object.__new__(AlgebraElement)
+    e.n, e.num, e.den, e._terms = n, num, den, None
+    return e
+
+
+class AlgebraElement:
+    """Formal sum sum_sigma c_sigma * sigma over S_n, stored densely.
+
+    `num` has one row per power of N (one row when every coefficient is
+    rational) and one column per permutation in rank order; the
+    coefficient of permutation i is sum_q num[q, i] N**q / den.  The form
+    is canonical, so equality and hashing compare arrays.  Instances are
+    immutable values.
+    """
+
+    __slots__ = ("n", "num", "den", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Perm, Scalar] = ()):
         if n < 1:
             raise ValueError(f"degree must be positive, got {n}")
-        self.n = n
-        clean: dict[Perm, Coeff] = {}
+        table = sn_table(n)
+        coeffs: list[tuple[int, tuple[Fraction, ...]]] = []
         for p, c in dict(terms).items():
-            if len(p) != n:
-                raise ValueError(f"permutation {p} has degree {len(p)}, expected {n}")
-            c = _as_coeff(c)
-            if c:
-                clean[check_perm(p)] = c
-        self.terms = clean
+            rank = table.rank.get(tuple(p))
+            if rank is None:
+                if len(p) != n:
+                    raise ValueError(
+                        f"permutation {p} has degree {len(p)}, expected {n}")
+                raise ValueError(f"not a permutation of 1..{n}: {tuple(p)}")
+            coeffs.append((rank, _powers(c)))
+        den = lcm(*(f.denominator for _, cs in coeffs for f in cs))
+        rows = max([1] + [len(cs) for _, cs in coeffs])
+        num = np.zeros((rows, table.size), dtype=object)
+        for rank, cs in coeffs:
+            for q, f in enumerate(cs):
+                num[q, rank] = f.numerator * (den // f.denominator)
+        canon = _element(n, num, den)
+        self.n, self.num, self.den, self._terms = n, canon.num, canon.den, None
 
     # -- constructors ------------------------------------------------------
 
@@ -113,21 +321,40 @@ class AlgebraElement:
 
     # -- basic structure ---------------------------------------------------
 
+    def _coeff_at(self, rank: int) -> Coeff:
+        col = [Fraction(int(v), self.den) for v in self.num[:, rank]]
+        return col[0] if len(col) == 1 else Polynomial(col)
+
+    @property
+    def terms(self) -> Mapping[Perm, Coeff]:
+        """Read-only view {permutation: coefficient} of the nonzero terms,
+        in one-line order.  Coefficients are Fractions, or Polynomials in
+        N when the element has any non-constant coefficient."""
+        if self._terms is None:
+            perms = sn_table(self.n).perms
+            self._terms = MappingProxyType({
+                perms[i]: self._coeff_at(i)
+                for i in np.flatnonzero(self.num.any(axis=0)).tolist()})
+        return self._terms
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num.any())
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num.any()
 
     def coefficient(self, p: Perm) -> Coeff:
-        return self.terms.get(tuple(p), Fraction(0))
+        rank = sn_table(self.n).rank.get(tuple(p))
+        if rank is None or not self.num[:, rank].any():
+            return Fraction(0)
+        return self._coeff_at(rank)
 
     def sorted_terms(self) -> list[tuple[Perm, Coeff]]:
         """Terms sorted by one-line form (the canonical order)."""
-        return sorted(self.terms.items())
+        return list(self.terms.items())
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return int(np.count_nonzero(self.num.any(axis=0)))
 
     def _check_degree(self, other: "AlgebraElement") -> None:
         if self.n != other.n:
@@ -135,26 +362,32 @@ class AlgebraElement:
 
     # -- ring operations ----------------------------------------------------
 
+    def _combine(self, other: "AlgebraElement", sign: int) -> "AlgebraElement":
+        self._check_degree(other)
+        den = lcm(self.den, other.den)
+        num = _lincomb([(den // self.den, self.num),
+                        (sign * (den // other.den), other.num)])
+        return _element(self.n, num, den)
+
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._check_degree(other)
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + c
-        return AlgebraElement(self.n, terms)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.n, {p: -c for p, c in self.terms.items()})
+        return _element(self.n, -self.num, self.den)
 
     def scale(self, c: Scalar) -> "AlgebraElement":
-        c = _as_coeff(c)
-        return AlgebraElement(self.n, {p: c * cp for p, cp in self.terms.items()})
+        powers = _powers(c) or (Fraction(0),)
+        den = lcm(*(f.denominator for f in powers))
+        num = _lincomb([(f.numerator * (den // f.denominator), _shift(self.num, q))
+                        for q, f in enumerate(powers)])
+        return _element(self.n, num, self.den * den)
 
     def __mul__(self, other: "AlgebraElement | Scalar") -> "AlgebraElement":
         if isinstance(other, (int, Fraction, Polynomial)):
@@ -162,14 +395,15 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_degree(other)
-        if _all_rational(self) and _all_rational(other):
-            return AlgebraElement(self.n, _product_terms_fast(self.terms, other.terms))
-        acc: dict[Perm, Coeff] = {}
-        for pa, ca in self.terms.items():
-            for pb, cb in other.terms.items():
-                key = tuple(pa[x - 1] for x in pb)  # apply pb first
-                acc[key] = acc.get(key, Fraction(0)) + ca * cb
-        return AlgebraElement(self.n, acc)
+        table = sn_table(self.n)
+        parts = [(p + q, _convolve(table, x, y))
+                 for p, x in enumerate(self.num) for q, y in enumerate(other.num)]
+        if len(parts) == 1:
+            num = parts[0][1][None, :]
+        else:
+            num = _lincomb([(1, _shift(part[None, :], power))
+                            for power, part in parts])
+        return _element(self.n, num, self.den * other.den)
 
     def __rmul__(self, other: Scalar) -> "AlgebraElement":
         if isinstance(other, (int, Fraction, Polynomial)):
@@ -182,17 +416,20 @@ class AlgebraElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        # Subtraction tolerates Fraction-vs-Polynomial coefficient mixes.
-        return self.n == other.n and (self - other).is_zero()
+        return (self.n == other.n and self.den == other.den
+                and self.num.shape == other.num.shape
+                and bool((self.num == other.num).all()))
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
+        data = (tuple(self.num.flat) if self.num.dtype == object
+                else self.num.tobytes())
+        return hash((self.n, self.den, self.num.shape[0], data))
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.n}, {dict(self.sorted_terms())!r})"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return "0"
         return " + ".join(f"({c})*{p}" for p, c in self.sorted_terms())
 
@@ -205,7 +442,7 @@ class AlgebraElement:
         adjoint, because every permutation acts as a real orthogonal
         matrix on tensor space.
         """
-        return AlgebraElement(self.n, {inverse(p): c for p, c in self.terms.items()})
+        return _element(self.n, self.num[:, sn_table(self.n).inverse], self.den)
 
     def trace_polynomial(self) -> Polynomial:
         """Trace on (C^N)^(x n) as a polynomial in N.
@@ -213,10 +450,16 @@ class AlgebraElement:
         A permutation traces to N**(number of cycles, fixed points
         included), so the trace of the element is sum c_sigma N^cycles.
         """
-        out = Polynomial.zero()
-        for p, c in self.terms.items():
-            out = out + Polynomial.monomial(cycle_count(p)) * c
-        return out
+        table = sn_table(self.n)
+        by_cycles = table.cycles == np.arange(self.n + 1)[:, None]
+        coeffs = [0] * (self.num.shape[0] + self.n)
+        for q, row in enumerate(self.num):
+            # Each sum has at most |supp row| terms of size max|row|.
+            dtype = _exact_dtype(_maxabs(row) * int(np.count_nonzero(row)))
+            sums = by_cycles.astype(dtype) @ row.astype(dtype)
+            for c, v in enumerate(sums.tolist()):
+                coeffs[q + c] += int(v)
+        return Polynomial([Fraction(v, self.den) for v in coeffs])
 
     def partial_trace(self) -> "AlgebraElement":
         """Contract the last tensor slot, landing in degree n-1.
@@ -228,38 +471,34 @@ class AlgebraElement:
         """
         if self.n < 2:
             raise ValueError("partial trace requires degree >= 2")
-        N = Polynomial.monomial(1)
-        acc: dict[Perm, Coeff] = {}
-        for p, c in self.terms.items():
-            if p[-1] == self.n:
-                key = p[:-1]
-                contrib = N * c
-            else:
-                key = tuple(p[x - 1] if p[x - 1] != self.n else p[-1]
-                            for x in range(1, self.n))
-                contrib = Polynomial([c]) if isinstance(c, Fraction) else c
-            acc[key] = acc.get(key, Fraction(0)) + contrib
-        return AlgebraElement(self.n - 1, acc)
+        table = sn_table(self.n)
+        # Each output entry sums n-1 spliced terms and one looped term.
+        num = self.num
+        if self.n * _maxabs(num) >= _I64_EXACT:
+            num = num.astype(object)
+        out = np.zeros((num.shape[0] + 1, table.size // self.n), dtype=num.dtype)
+        out[:-1] += num[:, table.splice].sum(axis=1)
+        out[1:] += num[:, table.embedding(self.n - 1)]
+        return _element(self.n - 1, out, self.den)
 
     def evaluate(self, N: Union[int, Fraction]) -> "AlgebraElement":
         """Substitute a concrete N into any polynomial coefficients."""
-        terms = {
-            p: (c(N) if isinstance(c, Polynomial) else c)
-            for p, c in self.terms.items()
-        }
-        return AlgebraElement(self.n, terms)
+        x = Fraction(N)
+        top = self.num.shape[0] - 1
+        num = _lincomb([(x.numerator ** q * x.denominator ** (top - q),
+                         self.num[q:q + 1]) for q in range(top + 1)])
+        return _element(self.n, num, self.den * x.denominator ** top)
 
     # -- JSON wire format ----------------------------------------------------
 
     def to_dict(self) -> dict:
         """{"n":3,"terms":[{"perm":[2,1,3],"coeff":"1/3"},...]}, terms
         sorted by one-line form.  Only rational coefficients serialize."""
-        terms = []
-        for p, c in self.sorted_terms():
-            if not isinstance(c, Fraction):
-                raise TypeError("only rational coefficients have a JSON form")
-            terms.append({"perm": list(p), "coeff": str(c)})
-        return {"n": self.n, "terms": terms}
+        if self.num.shape[0] > 1:
+            raise TypeError("only rational coefficients have a JSON form")
+        return {"n": self.n,
+                "terms": [{"perm": list(p), "coeff": str(c)}
+                          for p, c in self.sorted_terms()]}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AlgebraElement":
@@ -269,33 +508,6 @@ class AlgebraElement:
         return cls(int(data["n"]), terms)
 
 
-def _all_rational(a: AlgebraElement) -> bool:
-    return all(isinstance(c, Fraction) for c in a.terms.values())
-
-
-def _product_terms_fast(a: Mapping[Perm, Fraction],
-                        b: Mapping[Perm, Fraction]) -> dict[Perm, Fraction]:
-    """Convolution product over cleared denominators.
-
-    Both factors are scaled to integer coefficients so the inner loop is
-    pure int arithmetic; the combined denominator is divided back out at
-    the end.  Orders of magnitude faster than Fraction accumulation on
-    the n=5 all-pairs scans.
-    """
-    den_a = lcm(*(c.denominator for c in a.values())) if a else 1
-    den_b = lcm(*(c.denominator for c in b.values())) if b else 1
-    ints_a = [(p, int(c * den_a)) for p, c in a.items()]
-    ints_b = [(p, int(c * den_b)) for p, c in b.items()]
-    acc: dict[Perm, int] = {}
-    get = acc.get
-    for pa, ca in ints_a:
-        for pb, cb in ints_b:
-            key = tuple(pa[x - 1] for x in pb)  # apply pb first
-            acc[key] = get(key, 0) + ca * cb
-    den = den_a * den_b
-    return {p: Fraction(v, den) for p, v in acc.items() if v}
-
-
 def embed_element(a: AlgebraElement, n: int) -> AlgebraElement:
     """Include A(S_m) into A(S_n), m <= n, fixing the trailing slots
     m+1, ..., n (tensoring with the identity on the right)."""
@@ -303,7 +515,10 @@ def embed_element(a: AlgebraElement, n: int) -> AlgebraElement:
         raise ValueError(f"cannot embed degree {a.n} into degree {n}")
     if n == a.n:
         return a
-    return AlgebraElement(n, {embed_perm(p, n): c for p, c in a.terms.items()})
+    table = sn_table(n)
+    num = np.zeros((a.num.shape[0], table.size), dtype=a.num.dtype)
+    num[:, table.embedding(a.n)] = a.num
+    return _element(n, num, a.den)
 
 
 # -- symmetrizers ------------------------------------------------------------
@@ -315,13 +530,11 @@ def _subset_sum(slots: Iterable[int], n: int, signed: bool) -> AlgebraElement:
         raise ValueError("slot subset must be nonempty")
     if vals[0] < 1 or vals[-1] > n:
         raise ValueError(f"slots {vals} outside 1..{n}")
-    terms: dict[Perm, Fraction] = {}
-    count = 0
-    for p in perms_of(vals, n):
-        count += 1
-        terms[p] = Fraction(sign(p) if signed else 1)
-    norm = Fraction(1, count)
-    return AlgebraElement(n, {p: c * norm for p, c in terms.items()})
+    table = sn_table(n)
+    ranks = [table.rank[p] for p in perms_of(vals, n)]
+    num = np.zeros((1, table.size), dtype=np.int64)
+    num[0, ranks] = table.sign[ranks] if signed else 1
+    return _element(n, num, len(ranks))
 
 
 def symmetrizer(slots: Iterable[int], n: int) -> AlgebraElement:
@@ -426,12 +639,12 @@ def hermitian_young(t: YoungTableau, *, max_n: int | None = None) -> AlgebraElem
     """
     n = t.n
     check_tableau_size(n, max_n)
-    if not t.is_standard():
-        raise ValueError(f"tableau {t} is not standard")
     key = t.rows
     cached = _HERMITIAN_CACHE.get(key)
     if cached is not None:
-        return cached
+        return cached  # only standard tableaux are ever stored
+    if not t.is_standard():
+        raise ValueError(f"tableau {t} is not standard")
     if n == 1:
         result = AlgebraElement.one(1)
     elif n == 2:
@@ -474,9 +687,9 @@ def primitivity_check(e: AlgebraElement, *, max_n: int | None = None) -> bool:
         x = e * AlgebraElement.from_perm(p) * e
         if x.is_zero():
             continue
-        p0, c0 = next(iter(x.terms.items()))
-        ce = e.terms.get(p0)
-        if ce is None or x != e.scale(c0 / ce):
+        first = int(np.flatnonzero(x.num.any(axis=0))[0])
+        ce = e._coeff_at(first)
+        if not ce or x != e.scale(x._coeff_at(first) / ce):
             return False
     return True
 

@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_SIZE_CAP, SizeLimitError
-from .permutations import Perm, inverse
-from .sn_algebra import AlgebraElement
+from .permutations import Perm
+from .sn_algebra import AlgebraElement, sn_table
 
 _INT64_SAFE = 2 ** 62
 
@@ -308,21 +308,19 @@ def realize(a: AlgebraElement, N: int, *, size_cap: int | None = None) -> Tensor
     """
     n = a.n
     dim = _check_size(n, N, size_cap)
-    den = 1
-    for c in a.terms.values():
-        if not isinstance(c, Fraction):
-            raise TypeError("realize needs rational coefficients; "
-                            "call .evaluate(N) on polynomial-coefficient elements")
-        den = lcm(den, c.denominator)
+    if a.num.shape[0] > 1:
+        raise TypeError("realize needs rational coefficients; "
+                        "call .evaluate(N) on polynomial-coefficient elements")
+    table = sn_table(n)
+    inverses = table.images[table.inverse]
     digits = _digit_table(n, N, dim)
     weights = np.array([N ** (n - 1 - k) for k in range(n)], dtype=np.int64)
     cols = np.arange(dim)
     num = np.zeros((dim, dim), dtype=object)
-    for p, c in a.terms.items():
-        inv0 = [x - 1 for x in inverse(p)]
-        rows = digits[:, inv0] @ weights
-        num[rows, cols] += int(c * den)
-    return TensorOperator(n, N, num, den)
+    for i in np.flatnonzero(a.num[0]):
+        rows = digits[:, inverses[i]] @ weights
+        num[rows, cols] += int(a.num[0, i])
+    return TensorOperator(n, N, num, a.den)
 
 
 def permutation_matrix(p: Perm, N: int, *, size_cap: int | None = None) -> TensorOperator:

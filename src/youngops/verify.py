@@ -111,7 +111,6 @@ class _Context:
         self.max_n = max_n
         self.tableaux = enumerate_syt(n, max_n)
         self._young: dict[YoungTableau, AlgebraElement] = {}
-        self._hermitian: dict[YoungTableau, AlgebraElement] = {}
 
     def name(self, t: YoungTableau) -> str:
         return t.to_string()
@@ -122,9 +121,7 @@ class _Context:
         return self._young[t]
 
     def P(self, t: YoungTableau) -> AlgebraElement:
-        if t not in self._hermitian:
-            self._hermitian[t] = hermitian_young(t, max_n=self.max_n)
-        return self._hermitian[t]
+        return hermitian_young(t, max_n=self.max_n)
 
 
 def _diff_witness(lhs: AlgebraElement, rhs: AlgebraElement) -> str:

@@ -9,7 +9,7 @@ from itertools import permutations as it_permutations
 
 from hypothesis import strategies as st
 
-from youngops import YoungTableau, AlgebraElement, partitions
+from youngops import YoungTableau, AlgebraElement, Polynomial, cycle_count, partitions
 
 
 def brute_force_syt(n):
@@ -40,25 +40,49 @@ def naive_multiply(a, b):
     return AlgebraElement(a.n, acc)
 
 
+def naive_trace_polynomial(a):
+    """sum_sigma c_sigma N**cycles(sigma), one Polynomial add per term."""
+    out = Polynomial.zero()
+    for p, c in a.terms.items():
+        out = out + Polynomial.monomial(cycle_count(p)) * c
+    return out
+
+
+def naive_partial_trace(a):
+    """Term-by-term partial trace over slot n: a fixed point of n becomes
+    a factor N, otherwise n is spliced out of its cycle."""
+    n = a.n
+    N = Polynomial.monomial(1)
+    acc = {}
+    for p, c in a.terms.items():
+        if p[-1] == n:
+            key, contrib = p[:-1], N * c
+        else:
+            key = tuple(p[x - 1] if p[x - 1] != n else p[-1] for x in range(1, n))
+            contrib = c + Polynomial.zero()
+        acc[key] = acc.get(key, Polynomial.zero()) + contrib
+    return AlgebraElement(n - 1, acc)
+
+
 @st.composite
 def permutation_strategy(draw, n):
     return tuple(draw(st.permutations(range(1, n + 1))))
 
 
 @st.composite
-def fraction_strategy(draw):
-    num = draw(st.integers(min_value=-6, max_value=6))
-    den = draw(st.integers(min_value=1, max_value=6))
+def fraction_strategy(draw, max_num=6, max_den=6):
+    num = draw(st.integers(min_value=-max_num, max_value=max_num))
+    den = draw(st.integers(min_value=1, max_value=max_den))
     return Fraction(num, den)
 
 
 @st.composite
-def element_strategy(draw, n, max_terms=4):
+def element_strategy(draw, n, max_terms=4, max_num=6, max_den=6):
     count = draw(st.integers(min_value=0, max_value=max_terms))
     terms = {}
     for _ in range(count):
         p = draw(permutation_strategy(n))
-        terms[p] = draw(fraction_strategy())
+        terms[p] = draw(fraction_strategy(max_num, max_den))
     return AlgebraElement(n, terms)
 
 

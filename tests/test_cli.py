@@ -155,3 +155,21 @@ def test_installed_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"coeffs": {"0": "0", "1": "1/2", "2": "1/2"}}
+
+
+
+def _assert_one_line_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ['{"rows":5}', '{"shape":[2]}'])
+def test_malformed_tableau_json_exits_two(capsys, text):
+    code, _, err = run_cli(capsys, "operator", text)
+    _assert_one_line_error(code, err)
+
+
+def test_unwritable_json_out_exits_two(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, "operator", "12", "--json-out", str(path))
+    _assert_one_line_error(code, err)

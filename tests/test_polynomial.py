@@ -80,3 +80,9 @@ def test_product_matches_pointwise(a, b, x):
 def test_round_trip_any(a):
     p = Polynomial(a)
     assert Polynomial.from_dict(p.to_dict()) == p
+
+
+def test_constant_hashes_like_its_fraction():
+    assert Polynomial([3]) == 3 and hash(Polynomial([3])) == hash(3)
+    assert hash(Polynomial([Fraction(1, 2)])) == hash(Fraction(1, 2))
+    assert hash(Polynomial.zero()) == hash(0)

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from youngops import sn_algebra
 from youngops import (
     AlgebraElement,
+    all_permutations,
     Polynomial,
     SizeLimitError,
     YoungTableau,
@@ -18,7 +21,12 @@ from youngops import (
     symmetrizer_recursion_check,
     young_operator,
 )
-from oracles import element_strategy, naive_multiply
+from oracles import (
+    element_strategy,
+    naive_multiply,
+    naive_partial_trace,
+    naive_trace_polynomial,
+)
 
 F = Fraction
 
@@ -74,6 +82,80 @@ def test_single_permutations_multiply_by_composition():
 @given(element_strategy(n=4), element_strategy(n=4))
 def test_multiply_matches_naive_convolution(a, b):
     assert a * b == naive_multiply(a, b)
+
+
+@st.composite
+def wide_element_pairs(draw):
+    """Two elements of one degree n <= 4, numerators and denominators up
+    to 6, 2**30, 2**62 or 2**80, so products take all three exact paths."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    return tuple(
+        draw(element_strategy(n, max_terms=24, max_num=big, max_den=big))
+        for big in draw(st.lists(st.sampled_from([6, 2 ** 30, 2 ** 62, 2 ** 80]),
+                                 min_size=2, max_size=2)))
+
+
+@settings(max_examples=60)
+@given(wide_element_pairs())
+def test_kernels_match_naive_definitions_at_every_magnitude(pair):
+    a, b = pair
+    assert a * b == naive_multiply(a, b)
+    assert (a + b) - b == a
+    assert a.trace_polynomial() == naive_trace_polynomial(a)
+    if a.n >= 2:
+        assert a.partial_trace() == naive_partial_trace(a)
+
+
+def _product_path(monkeypatch, a, b):
+    """The dtypes the product kernel chose while computing a * b."""
+    chosen = []
+    real = sn_algebra._exact_dtype
+
+    def spy(bound):
+        chosen.append(real(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(sn_algebra, "_exact_dtype", spy)
+    product = a * b
+    monkeypatch.undo()
+    assert product == naive_multiply(a, b)
+    return set(chosen)
+
+
+@pytest.mark.parametrize("limit, below, above", [
+    (2 ** 53, np.float64, np.int64),
+    (2 ** 63, np.int64, object),
+])
+def test_product_bound_edges(monkeypatch, limit, below, above):
+    # a = A e + (A-2) t and b = B e + (B-1) t with t = (12): each target
+    # receives two terms, so the bound is max|a| * max|b| * 2 = 2 A B.
+    e, t = (1, 2, 3), (2, 1, 3)
+    A = 2 ** (limit.bit_length() // 2 - 1) - 1
+    B = (limit - 1) // (2 * A)
+    a = AlgebraElement(3, {e: A, t: A - 2})
+    for b_max, path in ((B, below), (B + 1, above)):
+        assert (2 * A * b_max < limit) == (path is below)
+        b = AlgebraElement(3, {e: b_max, t: b_max - 1})
+        assert _product_path(monkeypatch, a, b) == {path}
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_partial_trace_bound_edge(offset):
+    # Coefficients M (1 + N) on all of S_3: the N**1 entries of the
+    # partial trace sum two spliced terms and one looped term, 3 M, which
+    # is where the int64 bound n * max|num| < 2**63 sits.
+    M = 2 ** 63 // 3 + offset
+    a = AlgebraElement(3, {p: Polynomial([M, M]) for p in all_permutations(3)})
+    assert (3 * M < 2 ** 63) == (offset < 0)
+    assert a.partial_trace() == naive_partial_trace(a)
+
+
+def test_equal_elements_hash_equal():
+    poly = AlgebraElement(2, {(2, 1): Polynomial([1])})
+    frac = AlgebraElement(2, {(2, 1): F(1)})
+    assert poly == frac and hash(poly) == hash(frac)
+    big = AlgebraElement(2, {(1, 2): 2 ** 70, (2, 1): F(1, 3)})
+    assert hash(big) == hash(AlgebraElement.from_dict(big.to_dict()))
 
 
 @settings(max_examples=40)
