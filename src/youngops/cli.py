@@ -11,14 +11,16 @@ Exit codes: 0 all requested work passed, 1 at least one verification
 check failed, 2 usage error (bad arguments, unknown suite, size cap).
 
 All stdout output is byte-stable across runs; per-suite timings go to
-stderr only.
+stderr only.  A --json-out path is opened before any work starts, as a
+shell redirection would be, so an unwritable path exits 2 at once.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Sequence
+from typing import IO, Sequence
 
 from .config import MAX_N_ENV, SizeLimitError
 from .sn_algebra import hermitian_young, young_operator
@@ -47,17 +49,27 @@ def _parse_tableau(text: str) -> YoungTableau:
     return YoungTableau.from_string(text)
 
 
-def _emit(payload: dict | list, json_out: str | None, *,
+def _open_json_out(path: str | None):
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _emit(payload: dict | list, json_out: IO[str] | None, *,
           also_stdout: bool = True) -> None:
     text = json.dumps(payload, separators=(",", ":")) + "\n"
     if also_stdout:
         sys.stdout.write(text)
-    if json_out:
+    if json_out is not None:
         try:
-            with open(json_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            json_out.write(text)
+            json_out.flush()
         except OSError as exc:
-            raise ValueError(f"cannot write {json_out}: {exc.strerror}") from None
+            raise ValueError(
+                f"cannot write {json_out.name}: {exc.strerror}") from None
 
 
 def _operator_for(args: argparse.Namespace):
@@ -209,7 +221,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _open_json_out(args.json_out) as json_out:
+            args.json_out = json_out
+            return args.func(args)
     except (SizeLimitError, UnknownSuiteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

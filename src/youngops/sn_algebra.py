@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations as _permutations
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -44,6 +44,7 @@ from .config import (
     SizeLimitError,
     check_tableau_size,
 )
+from .exact import _I64_EXACT, _exact_dtype, _lincomb, _lowest_terms, _maxabs
 from .permutations import (
     Perm,
     all_permutations,
@@ -88,10 +89,6 @@ TracePolynomial = Polynomial
 
 Coeff = Union[Fraction, Polynomial]
 Scalar = Union[int, Fraction, Polynomial]
-
-# Integers of magnitude below these are exact in float64 and int64.
-_F64_EXACT = 2 ** 53
-_I64_EXACT = 2 ** 63
 
 # Entries gathered per step of a product; bounds its temporaries.
 _CHUNK = 1 << 14
@@ -180,32 +177,6 @@ def sn_table(n: int) -> _SnTable:
 # -- exact integer kernels ------------------------------------------------------
 
 
-def _maxabs(x: np.ndarray) -> int:
-    return int(np.abs(x).max()) if x.size else 0
-
-
-def _exact_dtype(bound: int):
-    """Cheapest dtype whose arithmetic is exact on integers below `bound`."""
-    if bound < _F64_EXACT:
-        return np.float64
-    return np.int64 if bound < _I64_EXACT else object
-
-
-def _lincomb(terms: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Exact sum of k * x over (Python int k, numerator stack x), stacks
-    padded with zero rows to the longest.  int64 when the sum of the
-    |k| * max|x| is below 2**63, which bounds every partial sum; else
-    object."""
-    rows = max(x.shape[0] for _, x in terms)
-    mags = [abs(k) * _maxabs(x) for k, x in terms]
-    dtype = np.int64 if sum(mags) < _I64_EXACT else object
-    out = np.zeros((rows, terms[0][1].shape[1]), dtype=dtype)
-    for (k, x), mag in zip(terms, mags):
-        if mag:
-            out[:x.shape[0]] += x.astype(dtype) * k
-    return out
-
-
 def _shift(x: np.ndarray, rows: int) -> np.ndarray:
     """Multiply a stack by N**rows: prepend that many zero rows."""
     return np.concatenate([np.zeros((rows, x.shape[1]), dtype=x.dtype), x])
@@ -255,15 +226,7 @@ def _element(n: int, num: np.ndarray, den: int) -> "AlgebraElement":
     rows = num.shape[0]
     while rows > 1 and not num[rows - 1].any():
         rows -= 1
-    num = num[:rows]
-    if not num.any():
-        num, den = np.zeros(num.shape, dtype=np.int64), 1
-    g = gcd(den, int(np.gcd.reduce(num, axis=None)))
-    if g > 1:
-        num = num // g
-        den //= g
-    if num.dtype == object and _maxabs(num) < _I64_EXACT:
-        num = num.astype(np.int64)
+    num, den = _lowest_terms(num[:rows], den)
     num.flags.writeable = False
     e = object.__new__(AlgebraElement)
     e.n, e.num, e.den, e._terms = n, num, den, None

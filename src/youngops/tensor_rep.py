@@ -7,11 +7,15 @@ gives an independent check of every identity proved in the algebra:
 products, adjoints, traces and partial traces all commute with the
 realization.
 
-Matrices are stored exactly as an integer numpy matrix plus a common
-positive denominator, reduced to lowest terms.  Products run through
-int64 BLAS-free matmul when a rigorous overflow bound allows it and
-fall back to arbitrary-precision objects otherwise, so results are
-always exact.
+Matrices use the same exact storage as the algebra layer (see
+`exact`): an integer numerator matrix over one positive common
+denominator, in lowest terms, int64 whenever every entry fits and
+Python integers (object dtype) past that.  A product runs through
+float64 BLAS while max|a| * max|b| * inner < 2**53, where every partial
+sum is an exactly representable integer, through int64 below 2**63,
+and on Python integers past that.  Sums, scaling, `realize` and the
+partial trace carry int64 bounds of the same kind with an object
+fallback, so results are always exact.
 
 Basis order: a multi-index (a_1, ..., a_n) with digits in 0..N-1 maps
 to the integer whose base-N digits it is, slot 1 most significant.
@@ -26,10 +30,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_SIZE_CAP, SizeLimitError
+from .exact import _I64_EXACT, _exact_dtype, _lincomb, _lowest_terms, _maxabs
 from .permutations import Perm
 from .sn_algebra import AlgebraElement, sn_table
-
-_INT64_SAFE = 2 ** 62
 
 
 def encode(digits: Sequence[int], N: int) -> int:
@@ -74,30 +77,13 @@ def _digit_table(n: int, N: int, dim: int) -> np.ndarray:
     return table
 
 
-def _normalize(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        num, den = -num, -den
-    g = den
-    for v in num.flat:
-        if v:
-            g = gcd(g, abs(int(v)))
-            if g == 1:
-                return num, den
-    if g == den and not num.any():
-        return num, 1  # zero matrix
-    if g > 1:
-        num = num // g
-        den //= g
-    return num, den
-
-
 class TensorOperator:
     """Exact rational N^n x N^n matrix acting on (C^N)^(x n).
 
-    Stored as (num, den): an object-dtype integer matrix over a common
-    positive denominator, in lowest terms, so equality is structural.
+    Stored as (num, den): an integer matrix over a common positive
+    denominator, in lowest terms, int64 whenever every entry is below
+    2**63 in magnitude and object dtype otherwise, so equality is
+    structural.
     """
 
     __slots__ = ("n", "N", "num", "den")
@@ -106,25 +92,24 @@ class TensorOperator:
         dim = N ** n
         if num.shape != (dim, dim):
             raise ValueError(f"matrix shape {num.shape} != ({dim}, {dim})")
-        if num.dtype != object:
+        # -2**63 fits int64, but its magnitude does not.
+        if num.dtype == np.int64 and num.size and num.min() == -_I64_EXACT:
             num = num.astype(object)
-        num, den = _normalize(num, int(den))
         self.n = n
         self.N = N
-        self.num = num
-        self.den = den
+        self.num, self.den = _lowest_terms(num, int(den))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls, n: int, N: int) -> "TensorOperator":
         dim = N ** n
-        return cls(n, N, np.identity(dim, dtype=object))
+        return cls(n, N, np.identity(dim, dtype=np.int64))
 
     @classmethod
     def zero(cls, n: int, N: int) -> "TensorOperator":
         dim = N ** n
-        return cls(n, N, np.zeros((dim, dim), dtype=object))
+        return cls(n, N, np.zeros((dim, dim), dtype=np.int64))
 
     # -- structure ------------------------------------------------------------
 
@@ -159,23 +144,27 @@ class TensorOperator:
 
     # -- arithmetic -------------------------------------------------------------
 
+    def _combine(self, other: "TensorOperator", sign: int) -> "TensorOperator":
+        self._check_compatible(other)
+        den = lcm(self.den, other.den)
+        num = _lincomb([(den // self.den, self.num),
+                        (sign * (den // other.den), other.num)])
+        return TensorOperator(self.n, self.N, num, den)
+
     def __add__(self, other: "TensorOperator") -> "TensorOperator":
         if not isinstance(other, TensorOperator):
             return NotImplemented
-        self._check_compatible(other)
-        L = lcm(self.den, other.den)
-        num = self.num * (L // self.den) + other.num * (L // other.den)
-        return TensorOperator(self.n, self.N, num, L)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TensorOperator") -> "TensorOperator":
         if not isinstance(other, TensorOperator):
             return NotImplemented
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def scale(self, c: Fraction | int) -> "TensorOperator":
         c = Fraction(c)
-        return TensorOperator(self.n, self.N,
-                              self.num * c.numerator, self.den * c.denominator)
+        num = _lincomb([(c.numerator, self.num)])
+        return TensorOperator(self.n, self.N, num, self.den * c.denominator)
 
     def __mul__(self, other: "TensorOperator | Fraction | int"):
         if isinstance(other, (int, Fraction)):
@@ -197,7 +186,8 @@ class TensorOperator:
     # -- invariants of interest ---------------------------------------------------
 
     def trace(self) -> Fraction:
-        return Fraction(int(np.trace(self.num)), self.den)
+        # Summed as Python integers: an int64 trace could wrap.
+        return Fraction(sum(self.num.diagonal().tolist()), self.den)
 
     def rank(self) -> int:
         """Exact rank by fraction-free integer elimination."""
@@ -209,10 +199,11 @@ class TensorOperator:
         if self.n < 2:
             raise ValueError("partial trace requires n >= 2")
         m = self.N ** (self.n - 1)
-        blocks = self.num.reshape(m, self.N, m, self.N)
-        acc = np.zeros((m, m), dtype=object)
-        for c in range(self.N):
-            acc = acc + blocks[:, c, :, c]
+        # Each entry sums N entries of num: int64 while N * max|num| < 2**63.
+        num = self.num
+        if self.N * _maxabs(num) >= _I64_EXACT:
+            num = num.astype(object)
+        acc = np.trace(num.reshape(m, self.N, m, self.N), axis1=1, axis2=3)
         return TensorOperator(self.n - 1, self.N, acc, self.den)
 
     # -- JSON wire format -----------------------------------------------------------
@@ -243,15 +234,22 @@ class TensorOperator:
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer matrix product, exact: int64 when a rigorous bound on the
-    largest possible accumulator rules out overflow, else object dtype."""
-    max_a = max((abs(int(v)) for v in a.flat), default=0)
-    max_b = max((abs(int(v)) for v in b.flat), default=0)
-    inner = a.shape[1]
-    if max_a and max_b and max_a * max_b * inner < _INT64_SAFE:
-        prod = a.astype(np.int64) @ b.astype(np.int64)
-        return prod.astype(object)
-    return a @ b
+    """Integer matrix product, exact.
+
+    Entry (i, j) is sum_k a[i, k] b[k, j]: `inner` products, each an
+    integer of magnitude at most max|a| * max|b|.  Any partial sum of
+    them, in any order or blocking and with or without fused
+    multiply-adds, is then an integer of magnitude at most
+
+        B = max|a| * max|b| * inner.
+
+    While B < 2**53 every such integer is exact in float64, so BLAS
+    computes the product exactly; while B < 2**63 int64 does; past that
+    the product runs on Python integers.
+    """
+    dtype = _exact_dtype(_maxabs(a) * _maxabs(b) * a.shape[1])
+    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return prod.astype(np.int64) if dtype is np.float64 else prod
 
 
 def _integer_rank(matrix: np.ndarray) -> int:
@@ -316,10 +314,14 @@ def realize(a: AlgebraElement, N: int, *, size_cap: int | None = None) -> Tensor
     digits = _digit_table(n, N, dim)
     weights = np.array([N ** (n - 1 - k) for k in range(n)], dtype=np.int64)
     cols = np.arange(dim)
-    num = np.zeros((dim, dim), dtype=object)
-    for i in np.flatnonzero(a.num[0]):
+    coeffs = a.num[0]
+    # D(sigma) has one 1 per column, so each entry sums at most one
+    # coefficient per permutation: int64 while sum |a_sigma| < 2**63.
+    dtype = np.int64 if sum(map(abs, coeffs.tolist())) < _I64_EXACT else object
+    num = np.zeros((dim, dim), dtype=dtype)
+    for i in np.flatnonzero(coeffs):
         rows = digits[:, inverses[i]] @ weights
-        num[rows, cols] += int(a.num[0, i])
+        num[rows, cols] += int(coeffs[i])
     return TensorOperator(n, N, num, a.den)
 
 
@@ -389,9 +391,10 @@ def orthogonality_report(ops: Sequence[TensorOperator],
         ok = op.is_symmetric()
         witness = "" if ok else _first_entry_mismatch(op, op.transpose())
         checks.append(TensorCheck(f"symmetric:{name}", ok, witness))
+    zero = TensorOperator.zero(first.n, first.N)
     for ni, mi in zip(names, ops):
         for nj, mj in zip(names, ops):
-            want = mi if ni == nj else TensorOperator.zero(first.n, first.N)
+            want = mi if ni == nj else zero
             got = mi @ mj
             ok = got == want
             witness = "" if ok else _first_entry_mismatch(got, want)

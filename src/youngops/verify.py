@@ -155,7 +155,7 @@ def _suite_idempotency(ctx: _Context) -> list[CheckResult]:
     return out
 
 
-def _transversality(ctx: _Context, kind: str) -> list[CheckResult]:
+def _transversality(ctx: _Context, kind: str, suite: str) -> list[CheckResult]:
     get = ctx.Y if kind == "Y" else ctx.P
     anchor = f"{kind}_T {kind}_U = delta_TU {kind}_T"
     out = []
@@ -163,21 +163,17 @@ def _transversality(ctx: _Context, kind: str) -> list[CheckResult]:
         for u in ctx.tableaux:
             want = get(t) if t == u else AlgebraElement.zero(ctx.n)
             out.append(_equality_check(
-                f"{kind}:{ctx.name(t)}*{ctx.name(u)}", anchor,
+                f"{suite}:{ctx.name(t)}*{ctx.name(u)}", anchor,
                 get(t) * get(u), want))
     return out
 
 
 def _suite_conventional_transversality(ctx: _Context) -> list[CheckResult]:
-    return [CheckResult("conventional-transversality:" + c.check_id.split(":", 1)[1],
-                        c.anchor, c.passed, c.witness)
-            for c in _transversality(ctx, "Y")]
+    return _transversality(ctx, "Y", "conventional-transversality")
 
 
 def _suite_transversality(ctx: _Context) -> list[CheckResult]:
-    return [CheckResult("transversality:" + c.check_id.split(":", 1)[1],
-                        c.anchor, c.passed, c.witness)
-            for c in _transversality(ctx, "P")]
+    return _transversality(ctx, "P", "transversality")
 
 
 def _suite_hermiticity(ctx: _Context) -> list[CheckResult]:
@@ -297,9 +293,11 @@ def _suite_tensor(ctx: _Context) -> list[CheckResult]:
                 got_rank == want,
                 "" if got_rank == want else f"got {got_rank}, want {want}"))
         if ctx.n >= 2:
-            for t in ctx.tableaux:
-                for kind, op in (("Y", ctx.Y(t)), ("P", ctx.P(t))):
-                    left = realize(op, N).partial_trace()
+            for t, p_mat in zip(ctx.tableaux, mats):
+                y = ctx.Y(t)
+                for kind, op, op_mat in (("Y", y, realize(y, N)),
+                                         ("P", ctx.P(t), p_mat)):
+                    left = op_mat.partial_trace()
                     right = realize(op.partial_trace().evaluate(N), N)
                     ok = left == right
                     out.append(CheckResult(

@@ -9,7 +9,15 @@ from itertools import permutations as it_permutations
 
 from hypothesis import strategies as st
 
-from youngops import YoungTableau, AlgebraElement, Polynomial, cycle_count, partitions
+from youngops import (
+    AlgebraElement,
+    Polynomial,
+    YoungTableau,
+    cycle_count,
+    decode,
+    encode,
+    partitions,
+)
 
 
 def brute_force_syt(n):
@@ -62,6 +70,43 @@ def naive_partial_trace(a):
             contrib = c + Polynomial.zero()
         acc[key] = acc.get(key, Polynomial.zero()) + contrib
     return AlgebraElement(n - 1, acc)
+
+
+def fraction_matrix(op):
+    """A TensorOperator's entries as a list of Fraction rows."""
+    return [[Fraction(int(v), op.den) for v in row] for row in op.num]
+
+
+def naive_matmul(x, y):
+    """Row-by-column product of two Fraction matrices."""
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*y)] for row in x]
+
+
+def naive_matrix_partial_trace(x, N):
+    """Contract the last slot of a Fraction matrix on (C^N)^(x n):
+    entry (a, b) is sum_c x[(a, c), (b, c)], the last digit least
+    significant."""
+    m = len(x) // N
+    return [[sum((x[a * N + c][b * N + c] for c in range(N)), Fraction(0))
+             for b in range(m)] for a in range(m)]
+
+
+def naive_realize(a, N):
+    """Fraction matrix of a rational element on (C^N)^(x n), from the
+    definition: sigma sends the basis vector with digits b to the one
+    with digits d, d[sigma(k)] = b[k]."""
+    n = a.n
+    dim = N ** n
+    out = [[Fraction(0)] * dim for _ in range(dim)]
+    for p, c in a.terms.items():
+        for col in range(dim):
+            b = decode(col, N, n)
+            d = [0] * n
+            for k in range(n):
+                d[p[k] - 1] = b[k]
+            out[encode(d, N)][col] += c
+    return out
 
 
 @st.composite

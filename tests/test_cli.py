@@ -173,3 +173,11 @@ def test_unwritable_json_out_exits_two(capsys, tmp_path):
     path = tmp_path / "missing" / "x.json"
     code, _, err = run_cli(capsys, "operator", "12", "--json-out", str(path))
     _assert_one_line_error(code, err)
+
+
+def test_unwritable_json_out_exits_two_before_verify_runs(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "verify", "--n", "2",
+                             "--json-out", str(path))
+    _assert_one_line_error(code, err)
+    assert out == ""

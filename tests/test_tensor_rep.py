@@ -20,7 +20,14 @@ from youngops import (
     realize,
     young_operator,
 )
-from oracles import element_strategy
+from youngops import tensor_rep
+from oracles import (
+    element_strategy,
+    fraction_matrix,
+    naive_matmul,
+    naive_matrix_partial_trace,
+    naive_realize,
+)
 
 F = Fraction
 
@@ -172,6 +179,149 @@ def test_scalar_and_sum_arithmetic():
     assert i - i == TensorOperator.zero(1, 3)
     with pytest.raises(ValueError):
         i + TensorOperator.identity(2, 3)
+
+
+# -- overflow bounds at their edges ------------------------------------------------
+
+
+def _op(n, N, rows, den=1):
+    return TensorOperator(n, N, np.array(rows, dtype=object), den)
+
+
+def _entrywise(f, x, y):
+    return [[f(a, b) for a, b in zip(r, s)] for r, s in zip(x, y)]
+
+
+def _matmul_path(monkeypatch, a, b):
+    """The dtypes the matrix product chose while computing a @ b."""
+    chosen = []
+    real = tensor_rep._exact_dtype
+
+    def spy(bound):
+        chosen.append(real(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(tensor_rep, "_exact_dtype", spy)
+    product = a @ b
+    monkeypatch.undo()
+    assert fraction_matrix(product) == naive_matmul(fraction_matrix(a),
+                                                    fraction_matrix(b))
+    return set(chosen)
+
+
+@pytest.mark.parametrize("limit, below, above", [
+    (2 ** 53, np.float64, np.int64),
+    (2 ** 63, np.int64, object),
+])
+def test_matmul_bound_edges(monkeypatch, limit, below, above):
+    # [[A, 1], [1, A]] @ [[B, 1], [1, B]] has inner dimension 2, so the
+    # bound is max|a| * max|b| * 2 = 2 A B.
+    A = 2 ** (limit.bit_length() // 2 - 1) - 1
+    B = (limit - 1) // (2 * A)
+    a = _op(1, 2, [[A, 1], [1, A]])
+    for b_max, path in ((B, below), (B + 1, above)):
+        assert (2 * A * b_max < limit) == (path is below)
+        b = _op(1, 2, [[b_max, 1], [1, b_max]])
+        assert _matmul_path(monkeypatch, a, b) == {path}
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_sum_and_scale_bound_edges(offset):
+    # The int64 bound of a sum or a scaling is sum |k| * max|x| < 2**63.
+    M = 2 ** 62 + offset  # x + y and x - (-y): 2 M = 2**63 + 2 offset
+    x = _op(1, 2, [[M, 1], [1, M]])
+    y = _op(1, 2, [[M, 0], [0, M - 1]])
+    assert (2 * M < 2 ** 63) == (offset < 0)
+    want = _entrywise(lambda a, b: a + b,
+                      fraction_matrix(x), fraction_matrix(y))
+    assert fraction_matrix(x + y) == want
+    assert fraction_matrix(x - y.scale(-1)) == want
+    Q = 2 ** 61 + offset  # 4 Q = 2**63 + 4 offset
+    q = _op(1, 2, [[Q, 1], [1, Q]])
+    assert fraction_matrix(q.scale(4)) == [[4 * v for v in row]
+                                           for row in fraction_matrix(q)]
+    P = 2 ** 60 + offset  # over denominators 3 and 5: 5 P + 3 P = 8 P
+    p3 = _op(1, 2, [[P, 1], [1, P]], 3)
+    p5 = _op(1, 2, [[P, 1], [1, P]], 5)
+    assert fraction_matrix(p3 + p5) == _entrywise(
+        lambda a, b: a + b, fraction_matrix(p3), fraction_matrix(p5))
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_realize_bound_edge(offset):
+    # M e + (M + 1) (12) at N = 2: both permutations fix |00>, so that
+    # entry is sum |a_sigma| = 2 M + 1, where the int64 bound sits.
+    M = 2 ** 62 + (offset - 1) // 2
+    a = AlgebraElement(2, {(1, 2): M, (2, 1): M + 1})
+    assert 2 * M + 1 == 2 ** 63 + offset
+    assert fraction_matrix(realize(a, 2)) == naive_realize(a, 2)
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_matrix_partial_trace_bound_edge(offset):
+    # Entry (0, 0) of the partial trace at N = 2 sums two entries M,
+    # which is where the int64 bound N * max|num| < 2**63 sits.
+    M = 2 ** 62 + offset
+    rows = np.full((4, 4), M, dtype=object)
+    rows[0, 1] = M - 1
+    x = TensorOperator(2, 2, rows)
+    assert (2 * M < 2 ** 63) == (offset < 0)
+    assert fraction_matrix(x.partial_trace()) == naive_matrix_partial_trace(
+        fraction_matrix(x), 2)
+
+
+def test_int64_minimum_input_is_widened():
+    # -2**63 fits int64 but its magnitude does not: it is stored as a
+    # Python integer, and every bound sees 2**63.
+    x = TensorOperator(1, 2, np.array([[-2 ** 63, 1], [0, 3]], dtype=np.int64))
+    fx = fraction_matrix(x)
+    assert x.num.dtype == object and fx[0][0] == -2 ** 63
+    assert fraction_matrix(x @ x) == naive_matmul(fx, fx)
+    assert fraction_matrix(x + x) == [[2 * v for v in row] for row in fx]
+
+
+@st.composite
+def wide_operators(draw):
+    """(n, N, ops, scalar): two operators on (C^N)^(x n) with N^n <= 9,
+    numerators and denominators up to 16, 2**26, 2**31 or 2**80 each, so
+    products take all three exact paths, and a scalar of either size."""
+    n, N = draw(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]))
+    dim = N ** n
+    ops = []
+    for big in draw(st.lists(st.sampled_from([16, 2 ** 26, 2 ** 31, 2 ** 80]),
+                             min_size=2, max_size=2)):
+        num = draw(st.lists(st.integers(-big, big),
+                            min_size=dim * dim, max_size=dim * dim))
+        den = draw(st.integers(1, big))
+        ops.append((TensorOperator(n, N, np.array(num, dtype=object)
+                                   .reshape(dim, dim), den),
+                    [[F(v, den) for v in num[r * dim:(r + 1) * dim]]
+                     for r in range(dim)]))
+    big = draw(st.sampled_from([16, 2 ** 80]))
+    c = F(draw(st.integers(-big, big)), draw(st.integers(1, big)))
+    return n, N, ops, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_operators())
+def test_operations_match_fraction_oracle_at_every_magnitude(case):
+    n, N, ((a, fa), (b, fb)), c = case
+    assert fraction_matrix(a) == fa
+    assert fraction_matrix(a @ b) == naive_matmul(fa, fb)
+    assert fraction_matrix(a + b) == _entrywise(lambda x, y: x + y, fa, fb)
+    assert fraction_matrix(a - b) == _entrywise(lambda x, y: x - y, fa, fb)
+    assert fraction_matrix(a.scale(c)) == [[c * x for x in row] for row in fa]
+    assert a.trace() == sum(fa[i][i] for i in range(len(fa)))
+    if n >= 2:
+        assert (fraction_matrix(a.partial_trace())
+                == naive_matrix_partial_trace(fa, N))
+
+
+@settings(max_examples=30)
+@given(element_strategy(n=3, max_terms=6, max_num=2 ** 70, max_den=2 ** 70),
+       st.sampled_from([1, 2, 3]))
+def test_realize_matches_definition(a, N):
+    assert fraction_matrix(realize(a, N)) == naive_realize(a, N)
 
 
 # -- partial trace -----------------------------------------------------------------
