@@ -12,7 +12,6 @@ from youngops import (
     TensorOperator,
     enumerate_syt,
     hermitian_young,
-    matrix_partial_trace,
     orthogonality_report,
     realize,
 )
@@ -55,7 +54,7 @@ print()
 # last slot of the matrix equals realizing the algebraic partial trace.
 t = tableaux[1]
 p = hermitian_young(t)
-lhs = matrix_partial_trace(realize(p, N))
+lhs = realize(p, N).partial_trace()
 rhs = realize(p.partial_trace().evaluate(N), N)
 assert lhs == rhs
 print(f"matrix partial trace of P_{t.to_string()} at N={N} matches the "

@@ -24,7 +24,6 @@ from .permutations import (
 from .tableaux import YoungDiagram, YoungTableau, enumerate_syt, partitions
 from .sn_algebra import (
     AlgebraElement,
-    TracePolynomial,
     antisymmetrizer,
     embed_element,
     hermitian_young,
@@ -38,7 +37,6 @@ from .tensor_rep import (
     TensorOperator,
     decode,
     encode,
-    matrix_partial_trace,
     orthogonality_report,
     permutation_matrix,
     realize,
@@ -73,7 +71,6 @@ __all__ = [
     "enumerate_syt",
     "partitions",
     "AlgebraElement",
-    "TracePolynomial",
     "antisymmetrizer",
     "embed_element",
     "hermitian_young",
@@ -85,7 +82,6 @@ __all__ = [
     "TensorOperator",
     "decode",
     "encode",
-    "matrix_partial_trace",
     "orthogonality_report",
     "permutation_matrix",
     "realize",

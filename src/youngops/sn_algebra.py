@@ -63,7 +63,6 @@ from .tableaux import YoungTableau
 
 __all__ = [
     "AlgebraElement",
-    "TracePolynomial",
     "Perm",
     "all_permutations",
     "compose",
@@ -83,9 +82,6 @@ __all__ = [
     "primitivity_check",
     "inequivalence_check",
 ]
-
-# Trace of an element is a polynomial in the tensor dimension N.
-TracePolynomial = Polynomial
 
 Coeff = Union[Fraction, Polynomial]
 Scalar = Union[int, Fraction, Polynomial]

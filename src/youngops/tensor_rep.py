@@ -10,12 +10,23 @@ realization.
 Matrices use the same exact storage as the algebra layer (see
 `exact`): an integer numerator matrix over one positive common
 denominator, in lowest terms, int64 whenever every entry fits and
-Python integers (object dtype) past that.  A product runs through
-float64 BLAS while max|a| * max|b| * inner < 2**53, where every partial
-sum is an exactly representable integer, through int64 below 2**63,
-and on Python integers past that.  Sums, scaling, `realize` and the
-partial trace carry int64 bounds of the same kind with an object
-fallback, so results are always exact.
+Python integers (object dtype) past that.
+
+Weight blocks.  D(sigma) only moves slot contents, so it maps a basis
+vector to one with the same multiset of digits: its GL(N) weight.
+Every realized element is therefore block diagonal over the
+C(n+N-1, N-1) weight spaces, whose sizes are the multinomials
+n!/(m_0! ... m_{N-1}!).  Products and exact rank run block by block:
+an operator gathers its diagonal blocks once, on first use, after an
+exact check that it has no nonzero entry off them, and a product is one
+batched matmul per block size.  Its inner dimension is the block size
+s, so the product runs through float64 BLAS while
+max|a| * max|b| * s < 2**53, where every partial sum is an exactly
+representable integer, through int64 below 2**63, and on Python
+integers past that.  An operand with an entry off the blocks takes the
+same kernel with the trivial partition, one block of all N^n indices.
+Sums, scaling, `realize` and the partial trace carry int64 bounds of
+the same kind with an object fallback, so results are always exact.
 
 Basis order: a multi-index (a_1, ..., a_n) with digits in 0..N-1 maps
 to the integer whose base-N digits it is, slot 1 most significant.
@@ -24,7 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
+from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -68,13 +81,71 @@ def _check_size(n: int, N: int, size_cap: int | None) -> int:
     return dim
 
 
-def _digit_table(n: int, N: int, dim: int) -> np.ndarray:
-    """Row i = decode(i); shape (dim, n), int64."""
-    table = np.empty((dim, n), dtype=np.int64)
-    idx = np.arange(dim)
-    for k in range(n - 1, -1, -1):
-        idx, table[:, k] = np.divmod(idx, N)
-    return table
+class _Partition:
+    """A partition of range(dim) into blocks, and where the entries of
+    the diagonal blocks of a dim x dim matrix sit in its flat storage.
+
+    `groups` holds the blocks grouped by size: pairs (s, idx), sizes
+    ascending, with idx of shape (k, s) listing k blocks of s indices
+    each, in ascending order.  `entries` picks the diagonal-block entries
+    from num.ravel(): group by group, block by block, row-major within a
+    block.  For the trivial partition, one block of every index, it is
+    slice(None), which picks the whole matrix as a view.
+    """
+
+    def __init__(self, dim: int, groups: tuple):
+        self.groups = groups
+        self.largest = groups[-1][0]
+        if self.largest == dim:
+            self.entries = slice(None)
+        else:
+            self.entries = np.concatenate(
+                [(idx[:, :, None] * dim + idx[:, None, :]).ravel()
+                 for _, idx in groups])
+
+    def stacks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """A flat vector of block entries as (k, s, s) views, one per
+        block size."""
+        out, start = [], 0
+        for s, idx in self.groups:
+            stop = start + idx.size * s
+            out.append(flat[start:stop].reshape(-1, s, s))
+            start = stop
+        return out
+
+
+class _BasisTable:
+    """The basis of (C^N)^(x n) by flat index, and its weight blocks.
+
+    `digits[i]` is decode(i) and `place` the base-N place value of each
+    slot.  `weight[i]` is the index of basis vector i with its digits
+    sorted, which labels its digit multiset; the indices of one label
+    form a weight block.  `blocks` is the weight partition and `whole`
+    the trivial one.
+    """
+
+    def __init__(self, n: int, N: int):
+        dim = N ** n
+        self.digits = np.empty((dim, n), dtype=np.int64)
+        idx = np.arange(dim)
+        for k in range(n - 1, -1, -1):
+            idx, self.digits[:, k] = np.divmod(idx, N)
+        self.place = N ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.weight = np.sort(self.digits, axis=1) @ self.place
+        members = np.argsort(self.weight, kind="stable")
+        sizes = np.bincount(self.weight)
+        sizes = sizes[sizes > 0]
+        starts = np.cumsum(sizes) - sizes
+        self.blocks = _Partition(dim, tuple(
+            (s, members[starts[sizes == s][:, None] + np.arange(s)])
+            for s in sorted(set(sizes.tolist()))))
+        self.whole = _Partition(dim, ((dim, np.arange(dim)[None]),))
+
+
+@cache
+def basis_table(n: int, N: int) -> _BasisTable:
+    """The basis table of (C^N)^(x n), built on first use and kept."""
+    return _BasisTable(n, N)
 
 
 class TensorOperator:
@@ -83,21 +154,62 @@ class TensorOperator:
     Stored as (num, den): an integer matrix over a common positive
     denominator, in lowest terms, int64 whenever every entry is below
     2**63 in magnitude and object dtype otherwise, so equality is
-    structural.
+    structural.  `num` takes any integer dtype, or object dtype holding
+    integers, and `den` an integer; anything else raises TypeError
+    rather than being truncated.  Operators are immutable: the weight
+    blocks of `num` are gathered once, on first use, and kept.
     """
 
-    __slots__ = ("n", "N", "num", "den")
+    __slots__ = ("n", "N", "num", "den", "_view")
 
     def __init__(self, n: int, N: int, num: np.ndarray, den: int = 1):
         dim = N ** n
         if num.shape != (dim, dim):
             raise ValueError(f"matrix shape {num.shape} != ({dim}, {dim})")
+        if not isinstance(den, Integral):
+            raise TypeError(f"denominator must be an integer, got {den!r}")
+        if num.dtype.kind not in "biuO" or (num.dtype == object and not all(
+                isinstance(v, Integral) for v in num.flat)):
+            raise TypeError("numerators must be integers")
         # -2**63 fits int64, but its magnitude does not.
         if num.dtype == np.int64 and num.size and num.min() == -_I64_EXACT:
             num = num.astype(object)
+        self._set(n, N, *_lowest_terms(num, int(den)))
+
+    def _set(self, n: int, N: int, num: np.ndarray, den: int) -> None:
         self.n = n
         self.N = N
-        self.num, self.den = _lowest_terms(num, int(den))
+        self.num = num
+        self.den = den
+        self._view = None
+
+    @classmethod
+    def _from_blocks(cls, n: int, N: int, part: _Partition,
+                     flat: np.ndarray, den: int) -> "TensorOperator":
+        """The operator flat / den on the diagonal blocks of `part`, zero
+        off them.  Lowest terms are taken on the block entries alone,
+        which hold every nonzero entry."""
+        flat, den = _lowest_terms(flat, den)
+        num = np.zeros(N ** (2 * n), dtype=flat.dtype)
+        num[part.entries] = flat
+        op = cls.__new__(cls)
+        op._set(n, N, num.reshape(N ** n, N ** n), den)
+        return op
+
+    def _block_view(self) -> tuple[_Partition, np.ndarray, int]:
+        """(part, flat, max|num|): the entries of the diagonal weight
+        blocks of num, in the order of `basis_table(n, N).blocks`, or
+        every entry, over the trivial partition, when num has a nonzero
+        entry off the weight blocks.  Built on first use and kept."""
+        if self._view is None:
+            basis = basis_table(self.n, self.N)
+            num = self.num.ravel()
+            flat = num[basis.blocks.entries]
+            if np.count_nonzero(flat) == np.count_nonzero(num):
+                self._view = (basis.blocks, flat, _maxabs(flat))
+            else:
+                self._view = (basis.whole, num, _maxabs(num))
+        return self._view
 
     # -- constructors -------------------------------------------------------
 
@@ -177,8 +289,14 @@ class TensorOperator:
         if not isinstance(other, TensorOperator):
             return NotImplemented
         self._check_compatible(other)
-        num = _exact_matmul(self.num, other.num)
-        return TensorOperator(self.n, self.N, num, self.den * other.den)
+        part, x, x_max = self._block_view()
+        other_part, y, y_max = other._block_view()
+        if part is not other_part:
+            part = basis_table(self.n, self.N).whole
+            x, y = self.num.ravel(), other.num.ravel()
+        flat = _block_matmul(part, x, y, x_max * y_max * part.largest)
+        return TensorOperator._from_blocks(self.n, self.N, part, flat,
+                                           self.den * other.den)
 
     def transpose(self) -> "TensorOperator":
         return TensorOperator(self.n, self.N, self.num.T.copy(), self.den)
@@ -190,8 +308,11 @@ class TensorOperator:
         return Fraction(sum(self.num.diagonal().tolist()), self.den)
 
     def rank(self) -> int:
-        """Exact rank by fraction-free integer elimination."""
-        return _integer_rank(self.num)
+        """Exact rank: the sum of the ranks of the diagonal blocks of
+        `_block_view`, each by fraction-free integer elimination."""
+        part, flat, _ = self._block_view()
+        return sum(_integer_rank(block)
+                   for stack in part.stacks(flat) for block in stack)
 
     def partial_trace(self) -> "TensorOperator":
         """Contract the last slot: an N^(n-1)-dimensional operator with
@@ -233,23 +354,32 @@ class TensorOperator:
         return cls(n, N, num, den)
 
 
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer matrix product, exact.
+def _block_matmul(part: _Partition, x: np.ndarray, y: np.ndarray,
+                  bound: int) -> np.ndarray:
+    """Exact products of matching diagonal blocks, given and returned as
+    flat vectors of block entries over `part` (see `_Partition`): one
+    batched matmul per block size, in the cheapest dtype that is exact
+    below `bound` = max|a| * max|b| * (largest block size s).
 
-    Entry (i, j) is sum_k a[i, k] b[k, j]: `inner` products, each an
+    Let a and b vanish off the blocks of a partition.  Entry (i, j) of
+    ab is sum_k a[i, k] b[k, j], and a term is nonzero only when k lies
+    in the block of i and in the block of j; so (ab)[i, j] vanishes
+    unless i and j share a block, and then it is the (i, j) entry of the
+    product of the two diagonal blocks: at most s products, each an
     integer of magnitude at most max|a| * max|b|.  Any partial sum of
     them, in any order or blocking and with or without fused
-    multiply-adds, is then an integer of magnitude at most
+    multiply-adds, is then an integer of magnitude at most `bound`.
 
-        B = max|a| * max|b| * inner.
-
-    While B < 2**53 every such integer is exact in float64, so BLAS
-    computes the product exactly; while B < 2**63 int64 does; past that
-    the product runs on Python integers.
+    While bound < 2**53 every such integer is exact in float64, so BLAS
+    computes the blocks exactly; while bound < 2**63 int64 does; past
+    that they are computed on Python integers.
     """
-    dtype = _exact_dtype(_maxabs(a) * _maxabs(b) * a.shape[1])
-    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-    return prod.astype(np.int64) if dtype is np.float64 else prod
+    dtype = _exact_dtype(bound)
+    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    out = np.empty(x.shape, dtype=dtype)
+    for a, b, z in zip(part.stacks(x), part.stacks(y), part.stacks(out)):
+        np.matmul(a, b, out=z)
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def _integer_rank(matrix: np.ndarray) -> int:
@@ -311,8 +441,7 @@ def realize(a: AlgebraElement, N: int, *, size_cap: int | None = None) -> Tensor
                         "call .evaluate(N) on polynomial-coefficient elements")
     table = sn_table(n)
     inverses = table.images[table.inverse]
-    digits = _digit_table(n, N, dim)
-    weights = np.array([N ** (n - 1 - k) for k in range(n)], dtype=np.int64)
+    basis = basis_table(n, N)
     cols = np.arange(dim)
     coeffs = a.num[0]
     # D(sigma) has one 1 per column, so each entry sums at most one
@@ -320,7 +449,7 @@ def realize(a: AlgebraElement, N: int, *, size_cap: int | None = None) -> Tensor
     dtype = np.int64 if sum(map(abs, coeffs.tolist())) < _I64_EXACT else object
     num = np.zeros((dim, dim), dtype=dtype)
     for i in np.flatnonzero(coeffs):
-        rows = digits[:, inverses[i]] @ weights
+        rows = basis.digits[:, inverses[i]] @ basis.place
         num[rows, cols] += int(coeffs[i])
     return TensorOperator(n, N, num, a.den)
 
@@ -328,11 +457,6 @@ def realize(a: AlgebraElement, N: int, *, size_cap: int | None = None) -> Tensor
 def permutation_matrix(p: Perm, N: int, *, size_cap: int | None = None) -> TensorOperator:
     """D(p) itself: a 0/1 permutation matrix on (C^N)^(x n)."""
     return realize(AlgebraElement.from_perm(p), N, size_cap=size_cap)
-
-
-def matrix_partial_trace(m: TensorOperator) -> TensorOperator:
-    """Functional alias for TensorOperator.partial_trace()."""
-    return m.partial_trace()
 
 
 # -- batch orthogonality checking ------------------------------------------------

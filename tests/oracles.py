@@ -92,6 +92,23 @@ def naive_matrix_partial_trace(x, N):
              for b in range(m)] for a in range(m)]
 
 
+def naive_rank(x):
+    """Rank of a Fraction matrix by Gaussian elimination over Q."""
+    rows = [list(row) for row in x]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rank += 1
+        for r in rows:
+            if r[col] != 0:
+                f = r[col] / pivot[col]
+                r[:] = [a - f * b for a, b in zip(r, pivot)]
+    return rank
+
+
 def naive_realize(a, N):
     """Fraction matrix of a rational element on (C^N)^(x n), from the
     definition: sigma sends the basis vector with digits b to the one

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations as it_permutations
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from youngops import (
     encode,
     enumerate_syt,
     hermitian_young,
-    matrix_partial_trace,
     orthogonality_report,
     permutation_matrix,
     realize,
@@ -26,6 +27,7 @@ from oracles import (
     fraction_matrix,
     naive_matmul,
     naive_matrix_partial_trace,
+    naive_rank,
     naive_realize,
 )
 
@@ -173,12 +175,68 @@ def test_normalization_reduces_to_lowest_terms():
     assert z.den == 1 and z.is_zero()
 
 
+@pytest.mark.parametrize("num, den", [
+    (np.array([[0.5, 0], [0, 1.0]]), 1),
+    (np.array([[1.0, 0], [0, 1.0]]), 1),
+    (np.array([[F(1, 2), 0], [0, 1]], dtype=object), 1),
+    (np.array([[1, 0], [0, 1]], dtype=object), 2.5),
+    (np.array([[1, 0], [0, 1]], dtype=np.int64), F(1, 2)),
+])
+def test_non_integer_input_is_refused_not_truncated(num, den):
+    with pytest.raises(TypeError):
+        TensorOperator(1, 2, num, den)
+
+
+def test_integer_inputs_of_any_integer_kind_are_accepted():
+    for num in (np.array([[2, 0], [0, 4]], dtype=np.int8),
+                np.array([[2, 0], [0, 4]], dtype=np.uint64),
+                np.array([[2, 0], [0, np.int64(4)]], dtype=object)):
+        m = TensorOperator(1, 2, num, np.int64(6))
+        assert m.den == 3 and m.num.dtype == np.int64
+        assert fraction_matrix(m) == [[F(1, 3), 0], [0, F(2, 3)]]
+
+
 def test_scalar_and_sum_arithmetic():
     i = TensorOperator.identity(1, 3)
     assert (i * F(1, 2)) + (i * F(1, 2)) == i
     assert i - i == TensorOperator.zero(1, 3)
     with pytest.raises(ValueError):
         i + TensorOperator.identity(2, 3)
+
+
+# -- weight blocks ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (1, 4), (2, 3), (3, 2), (3, 3),
+                                  (4, 3), (5, 2)])
+def test_basis_table_weight_blocks(n, N):
+    basis = tensor_rep.basis_table(n, N)
+    blocks = [row.tolist() for _, idx in basis.blocks.groups for row in idx]
+    assert len(blocks) == comb(n + N - 1, N - 1)
+    assert sorted(i for block in blocks for i in block) == list(range(N ** n))
+    for block in blocks:
+        counts = [decode(block[0], N, n).count(d) for d in range(N)]
+        assert len(block) == factorial(n) // prod(map(factorial, counts))
+        assert all(sorted(decode(i, N, n)) == sorted(decode(block[0], N, n))
+                   for i in block)
+
+
+@pytest.mark.parametrize("n, N", [(n, N) for n in (1, 2, 3) for N in (1, 2, 3)])
+def test_permutation_matrices_vanish_off_the_weight_blocks(n, N):
+    basis = tensor_rep.basis_table(n, N)
+    for p in it_permutations(range(1, n + 1)):
+        m = permutation_matrix(p, N)
+        rows, cols = np.nonzero(m.num)
+        assert (basis.weight[rows] == basis.weight[cols]).all()
+        assert m._block_view()[0] is basis.blocks
+
+
+def test_off_block_entry_selects_the_trivial_partition():
+    basis = tensor_rep.basis_table(2, 2)
+    num = np.identity(4, dtype=np.int64)
+    num[0, 3] = 1  # |00> and |11> have different weights
+    assert TensorOperator(2, 2, num)._block_view()[0] is basis.whole
+    assert TensorOperator.identity(2, 2)._block_view()[0] is basis.blocks
 
 
 # -- overflow bounds at their edges ------------------------------------------------
@@ -223,6 +281,74 @@ def test_matmul_bound_edges(monkeypatch, limit, below, above):
         assert (2 * A * b_max < limit) == (path is below)
         b = _op(1, 2, [[b_max, 1], [1, b_max]])
         assert _matmul_path(monkeypatch, a, b) == {path}
+
+
+def _weight_diagonal(n, N, diagonal):
+    """The operator with `diagonal` on the diagonal, 1 elsewhere on the
+    weight blocks and 0 off them."""
+    weight = tensor_rep.basis_table(n, N).weight
+    num = (weight[:, None] == weight[None, :]).astype(object)
+    np.fill_diagonal(num, diagonal)
+    return TensorOperator(n, N, num)
+
+
+@pytest.mark.parametrize("limit, below, above", [
+    (2 ** 53, np.float64, np.int64),
+    (2 ** 63, np.int64, object),
+])
+def test_block_matmul_bound_edges(monkeypatch, limit, below, above):
+    # At n = 3, N = 2 the weight blocks have sizes 1, 3, 3, 1, so the
+    # inner dimension is 3, not 8, and the bound is 3 A B.
+    A = 2 ** (limit.bit_length() // 2 - 1) - 1
+    B = (limit - 1) // (3 * A)
+    a = _weight_diagonal(3, 2, A)
+    assert a._block_view()[0].largest == 3
+    for b_max, path in ((B, below), (B + 1, above)):
+        assert (3 * A * b_max < limit) == (path is below)
+        assert 8 * A * b_max >= limit  # the dense bound would not decide it
+        b = _weight_diagonal(3, 2, b_max)
+        assert _matmul_path(monkeypatch, a, b) == {path}
+
+
+def test_mixed_operands_take_the_trivial_partition(monkeypatch):
+    # Realized P_T is weight-diagonal and x is not: a product with x on
+    # either side runs over one block of all 27 indices.
+    p = realize(hermitian_young(T("12/3")), 3)
+    rng = np.random.default_rng(5)
+    x = TensorOperator(3, 3, rng.integers(-9, 10, (27, 27)), 7)
+    basis = tensor_rep.basis_table(3, 3)
+    parts = []
+    real = tensor_rep._block_matmul
+
+    def spy(part, *args):
+        parts.append(part)
+        return real(part, *args)
+
+    monkeypatch.setattr(tensor_rep, "_block_matmul", spy)
+    for a, b, want in ((p, x, basis.whole), (x, p, basis.whole),
+                       (x, x, basis.whole), (p, p, basis.blocks)):
+        assert fraction_matrix(a @ b) == naive_matmul(fraction_matrix(a),
+                                                      fraction_matrix(b))
+        assert parts.pop() is want
+
+
+@pytest.mark.parametrize("t", enumerate_syt(4), ids=lambda t: t.to_string())
+def test_block_rank_matches_dense_and_fraction_ranks(t):
+    m = realize(hermitian_young(t), 3)
+    assert m._block_view()[0] is tensor_rep.basis_table(4, 3).blocks
+    want = naive_rank(fraction_matrix(m))
+    assert m.rank() == tensor_rep._integer_rank(m.num) == want
+
+
+def test_rank_of_an_operator_off_the_weight_blocks():
+    # u v^T + w z^T with dense integer vectors: rank 2, and no weight
+    # block structure at all.
+    rng = np.random.default_rng(11)
+    u, v, w, z = rng.integers(-5, 6, (4, 9))
+    x = TensorOperator(2, 3, np.outer(u, v) + np.outer(w, z), 3)
+    assert x._block_view()[0] is tensor_rep.basis_table(2, 3).whole
+    assert (x.rank() == tensor_rep._integer_rank(x.num)
+            == naive_rank(fraction_matrix(x)) == 2)
 
 
 @pytest.mark.parametrize("offset", [-1, 1])
@@ -317,6 +443,20 @@ def test_operations_match_fraction_oracle_at_every_magnitude(case):
                 == naive_matrix_partial_trace(fa, N))
 
 
+@settings(max_examples=60, deadline=None)
+@given(element_strategy(n=3, max_terms=6), element_strategy(n=3, max_terms=6),
+       st.sampled_from([2, 3]),
+       st.lists(st.sampled_from([1, 2 ** 24, 2 ** 31, 2 ** 80]),
+                min_size=2, max_size=2))
+def test_block_kernel_matches_fraction_oracles(a, b, N, scales):
+    # Realized elements are weight-diagonal; scaled up to 2**80 their
+    # products take the float64, int64 and object paths.
+    x, y = realize(a, N).scale(scales[0]), realize(b, N).scale(scales[1])
+    fx, fy = fraction_matrix(x), fraction_matrix(y)
+    assert fraction_matrix(x @ y) == naive_matmul(fx, fy)
+    assert x.rank() == naive_rank(fx)
+
+
 @settings(max_examples=30)
 @given(element_strategy(n=3, max_terms=6, max_num=2 ** 70, max_den=2 ** 70),
        st.sampled_from([1, 2, 3]))
@@ -328,7 +468,7 @@ def test_realize_matches_definition(a, N):
 
 
 def test_matrix_partial_trace_of_identity():
-    got = matrix_partial_trace(TensorOperator.identity(3, 2))
+    got = TensorOperator.identity(3, 2).partial_trace()
     assert got == TensorOperator.identity(2, 2) * 2
 
 
