@@ -66,10 +66,13 @@ print()
 
 # Tracing out the last slot reproduces the parent operator, scaled by
 # (N + p - q) |T'| / |T| where the removed box sat in row q, column p.
+# The partial trace returns the pair (A, B) with tr' P_T = N A + B, so
+# the recursion reads A = r P_T' and B = (p - q) r P_T', r = |T'| / |T|.
 t = YoungTableau.from_string("123/45")
 parent, p_, q_ = t.parent()
-factor = Polynomial([p_ - q_, 1]) * Fraction(
-    parent.shape.hook_product(), t.shape.hook_product())
-traced = hermitian_young(t).partial_trace()
-assert traced == hermitian_young(parent).scale(factor)
+r = Fraction(parent.shape.hook_product(), t.shape.hook_product())
+looped, spliced = hermitian_young(t).partial_trace()
+assert looped == hermitian_young(parent).scale(r)
+assert spliced == hermitian_young(parent).scale((p_ - q_) * r)
+factor = Polynomial([p_ - q_, 1]) * r
 print(f"partial trace: tr' P_123/45 = ({factor}) P_123/4")

@@ -55,7 +55,8 @@ print()
 t = tableaux[1]
 p = hermitian_young(t)
 lhs = realize(p, N).partial_trace()
-rhs = realize(p.partial_trace().evaluate(N), N)
+looped, spliced = p.partial_trace()  # tr' P_T = N A + B
+rhs = realize(looped.scale(N) + spliced, N)
 assert lhs == rhs
 print(f"matrix partial trace of P_{t.to_string()} at N={N} matches the "
       f"algebraic one: {N**(n-1)} x {N**(n-1)}, trace {lhs.trace()}")

@@ -31,18 +31,17 @@ def _exact_dtype(bound: int):
 
 
 def _lincomb(terms: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Exact sum of k * x over (Python int k, numerator stack x), stacks
-    padded with zero rows to the longest.  int64 when the sum of the
-    |k| * max|x| is below 2**63, which bounds every partial sum; else
-    object.  A term with k * max|x| = 0 is skipped, so every k that is
-    multiplied in is below 2**63 and never overflows an int64 operand."""
-    rows = max(x.shape[0] for _, x in terms)
+    """Exact sum of k * x over (Python int k, numerator array x), the
+    arrays all of one shape.  int64 when the sum of the |k| * max|x| is
+    below 2**63, which bounds every partial sum; else object.  A term
+    with k * max|x| = 0 is skipped, so every k that is multiplied in is
+    below 2**63 and never overflows an int64 operand."""
     mags = [abs(k) * _maxabs(x) for k, x in terms]
     dtype = np.int64 if sum(mags) < _I64_EXACT else object
-    out = np.zeros((rows, terms[0][1].shape[1]), dtype=dtype)
+    out = np.zeros(terms[0][1].shape, dtype=dtype)
     for (k, x), mag in zip(terms, mags):
         if mag:
-            out[:x.shape[0]] += x.astype(dtype) * k
+            out += x.astype(dtype) * k
     return out
 
 

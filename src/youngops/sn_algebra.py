@@ -22,10 +22,10 @@ same kind, so results are always exact.
 On top of the ring operations this module builds (anti)symmetrizers,
 Young operators Y_T, their Hermitian counterparts P_T, the *-involution,
 trace polynomials in the tensor dimension N, and the algebraic partial
-trace over the last slot.  Partial traces produce coefficients that are
-Polynomials in N (a fixed point of the last slot contributes a factor
-N); such an element holds one numerator vector per power of N over the
-same denominator, and all identities remain exact.
+trace over the last slot.  That trace is linear in N (a fixed point of
+the last slot contributes a factor N), so it returns the pair (A, B) of
+rational elements with tr' X = N A + B, and every coefficient stays
+rational.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from functools import cache, cached_property
 from itertools import permutations as _permutations
 from math import factorial, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -48,14 +48,9 @@ from .exact import _I64_EXACT, _exact_dtype, _lincomb, _lowest_terms, _maxabs
 from .permutations import (
     Perm,
     all_permutations,
-    compose,
     cycle_count,
-    cycle_type,
-    cycles,
     identity,
-    inverse,
     perms_of,
-    sign,
     transposition,
 )
 from .polynomial import Polynomial
@@ -63,16 +58,6 @@ from .tableaux import YoungTableau
 
 __all__ = [
     "AlgebraElement",
-    "Perm",
-    "all_permutations",
-    "compose",
-    "cycle_count",
-    "cycle_type",
-    "cycles",
-    "identity",
-    "inverse",
-    "sign",
-    "transposition",
     "embed_element",
     "symmetrizer",
     "antisymmetrizer",
@@ -83,19 +68,15 @@ __all__ = [
     "inequivalence_check",
 ]
 
-Coeff = Union[Fraction, Polynomial]
-Scalar = Union[int, Fraction, Polynomial]
+Scalar = int | Fraction
 
 # Entries gathered per step of a product; bounds its temporaries.
 _CHUNK = 1 << 14
 
 
-def _powers(c: Scalar) -> tuple[Fraction, ...]:
-    """A scalar's coefficients of N**0, N**1, ... (none for zero)."""
-    if isinstance(c, Polynomial):
-        return c.coeffs
+def _fraction(c: Scalar) -> Fraction:
     if isinstance(c, (int, Fraction)):
-        return (Fraction(c),) if c else ()
+        return Fraction(c)
     raise TypeError(f"bad coefficient type {type(c).__name__}")
 
 
@@ -173,11 +154,6 @@ def sn_table(n: int) -> _SnTable:
 # -- exact integer kernels ------------------------------------------------------
 
 
-def _shift(x: np.ndarray, rows: int) -> np.ndarray:
-    """Multiply a stack by N**rows: prepend that many zero rows."""
-    return np.concatenate([np.zeros((rows, x.shape[1]), dtype=x.dtype), x])
-
-
 def _convolve(table: _SnTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Numerators of (sum_i a_i sigma_i)(sum_j b_j sigma_j), exact.
 
@@ -217,12 +193,9 @@ def _convolve(table: _SnTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _element(n: int, num: np.ndarray, den: int) -> "AlgebraElement":
-    """The element num / den in canonical form: trailing zero powers of N
-    trimmed, lowest terms, int64 numerators whenever they fit."""
-    rows = num.shape[0]
-    while rows > 1 and not num[rows - 1].any():
-        rows -= 1
-    num, den = _lowest_terms(num[:rows], den)
+    """The element num / den in canonical form: lowest terms, int64
+    numerators whenever they fit."""
+    num, den = _lowest_terms(num, den)
     num.flags.writeable = False
     e = object.__new__(AlgebraElement)
     e.n, e.num, e.den, e._terms = n, num, den, None
@@ -232,11 +205,10 @@ def _element(n: int, num: np.ndarray, den: int) -> "AlgebraElement":
 class AlgebraElement:
     """Formal sum sum_sigma c_sigma * sigma over S_n, stored densely.
 
-    `num` has one row per power of N (one row when every coefficient is
-    rational) and one column per permutation in rank order; the
-    coefficient of permutation i is sum_q num[q, i] N**q / den.  The form
-    is canonical, so equality and hashing compare arrays.  Instances are
-    immutable values.
+    `num` holds one integer numerator per permutation in rank order; the
+    coefficient of permutation i is num[i] / den.  The form is canonical,
+    so equality and hashing compare arrays.  Instances are immutable
+    values.
     """
 
     __slots__ = ("n", "num", "den", "_terms")
@@ -245,7 +217,7 @@ class AlgebraElement:
         if n < 1:
             raise ValueError(f"degree must be positive, got {n}")
         table = sn_table(n)
-        coeffs: list[tuple[int, tuple[Fraction, ...]]] = []
+        coeffs: list[tuple[int, Fraction]] = []
         for p, c in dict(terms).items():
             rank = table.rank.get(tuple(p))
             if rank is None:
@@ -253,13 +225,11 @@ class AlgebraElement:
                     raise ValueError(
                         f"permutation {p} has degree {len(p)}, expected {n}")
                 raise ValueError(f"not a permutation of 1..{n}: {tuple(p)}")
-            coeffs.append((rank, _powers(c)))
-        den = lcm(*(f.denominator for _, cs in coeffs for f in cs))
-        rows = max([1] + [len(cs) for _, cs in coeffs])
-        num = np.zeros((rows, table.size), dtype=object)
-        for rank, cs in coeffs:
-            for q, f in enumerate(cs):
-                num[q, rank] = f.numerator * (den // f.denominator)
+            coeffs.append((rank, _fraction(c)))
+        den = lcm(*(f.denominator for _, f in coeffs))
+        num = np.zeros(table.size, dtype=object)
+        for rank, f in coeffs:
+            num[rank] = f.numerator * (den // f.denominator)
         canon = _element(n, num, den)
         self.n, self.num, self.den, self._terms = n, canon.num, canon.den, None
 
@@ -280,20 +250,18 @@ class AlgebraElement:
 
     # -- basic structure ---------------------------------------------------
 
-    def _coeff_at(self, rank: int) -> Coeff:
-        col = [Fraction(int(v), self.den) for v in self.num[:, rank]]
-        return col[0] if len(col) == 1 else Polynomial(col)
+    def _coeff_at(self, rank: int) -> Fraction:
+        return Fraction(int(self.num[rank]), self.den)
 
     @property
-    def terms(self) -> Mapping[Perm, Coeff]:
+    def terms(self) -> Mapping[Perm, Fraction]:
         """Read-only view {permutation: coefficient} of the nonzero terms,
-        in one-line order.  Coefficients are Fractions, or Polynomials in
-        N when the element has any non-constant coefficient."""
+        in one-line order."""
         if self._terms is None:
             perms = sn_table(self.n).perms
             self._terms = MappingProxyType({
                 perms[i]: self._coeff_at(i)
-                for i in np.flatnonzero(self.num.any(axis=0)).tolist()})
+                for i in np.flatnonzero(self.num).tolist()})
         return self._terms
 
     def __bool__(self) -> bool:
@@ -302,18 +270,18 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.num.any()
 
-    def coefficient(self, p: Perm) -> Coeff:
+    def coefficient(self, p: Perm) -> Fraction:
         rank = sn_table(self.n).rank.get(tuple(p))
-        if rank is None or not self.num[:, rank].any():
+        if rank is None or not self.num[rank]:
             return Fraction(0)
         return self._coeff_at(rank)
 
-    def sorted_terms(self) -> list[tuple[Perm, Coeff]]:
+    def sorted_terms(self) -> list[tuple[Perm, Fraction]]:
         """Terms sorted by one-line form (the canonical order)."""
         return list(self.terms.items())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.num.any(axis=0)))
+        return int(np.count_nonzero(self.num))
 
     def _check_degree(self, other: "AlgebraElement") -> None:
         if self.n != other.n:
@@ -342,47 +310,37 @@ class AlgebraElement:
         return _element(self.n, -self.num, self.den)
 
     def scale(self, c: Scalar) -> "AlgebraElement":
-        powers = _powers(c) or (Fraction(0),)
-        den = lcm(*(f.denominator for f in powers))
-        num = _lincomb([(f.numerator * (den // f.denominator), _shift(self.num, q))
-                        for q, f in enumerate(powers)])
-        return _element(self.n, num, self.den * den)
+        f = _fraction(c)
+        num = _lincomb([(f.numerator, self.num)])
+        return _element(self.n, num, self.den * f.denominator)
 
     def __mul__(self, other: "AlgebraElement | Scalar") -> "AlgebraElement":
-        if isinstance(other, (int, Fraction, Polynomial)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_degree(other)
-        table = sn_table(self.n)
-        parts = [(p + q, _convolve(table, x, y))
-                 for p, x in enumerate(self.num) for q, y in enumerate(other.num)]
-        if len(parts) == 1:
-            num = parts[0][1][None, :]
-        else:
-            num = _lincomb([(1, _shift(part[None, :], power))
-                            for power, part in parts])
+        num = _convolve(sn_table(self.n), self.num, other.num)
         return _element(self.n, num, self.den * other.den)
 
     def __rmul__(self, other: Scalar) -> "AlgebraElement":
-        if isinstance(other, (int, Fraction, Polynomial)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def __truediv__(self, other: Union[int, Fraction]) -> "AlgebraElement":
+    def __truediv__(self, other: Scalar) -> "AlgebraElement":
         return self.scale(Fraction(1, 1) / other)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return (self.n == other.n and self.den == other.den
-                and self.num.shape == other.num.shape
                 and bool((self.num == other.num).all()))
 
     def __hash__(self) -> int:
         data = (tuple(self.num.flat) if self.num.dtype == object
                 else self.num.tobytes())
-        return hash((self.n, self.den, self.num.shape[0], data))
+        return hash((self.n, self.den, data))
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.n}, {dict(self.sorted_terms())!r})"
@@ -401,7 +359,7 @@ class AlgebraElement:
         adjoint, because every permutation acts as a real orthogonal
         matrix on tensor space.
         """
-        return _element(self.n, self.num[:, sn_table(self.n).inverse], self.den)
+        return _element(self.n, self.num[sn_table(self.n).inverse], self.den)
 
     def trace_polynomial(self) -> Polynomial:
         """Trace on (C^N)^(x n) as a polynomial in N.
@@ -411,50 +369,37 @@ class AlgebraElement:
         """
         table = sn_table(self.n)
         by_cycles = table.cycles == np.arange(self.n + 1)[:, None]
-        coeffs = [0] * (self.num.shape[0] + self.n)
-        for q, row in enumerate(self.num):
-            # Each sum has at most |supp row| terms of size max|row|.
-            dtype = _exact_dtype(_maxabs(row) * int(np.count_nonzero(row)))
-            sums = by_cycles.astype(dtype) @ row.astype(dtype)
-            for c, v in enumerate(sums.tolist()):
-                coeffs[q + c] += int(v)
-        return Polynomial([Fraction(v, self.den) for v in coeffs])
+        # Each sum has at most |supp num| terms of size max|num|.
+        dtype = _exact_dtype(_maxabs(self.num) * int(np.count_nonzero(self.num)))
+        sums = by_cycles.astype(dtype) @ self.num.astype(dtype)
+        return Polynomial([Fraction(int(v), self.den) for v in sums.tolist()])
 
-    def partial_trace(self) -> "AlgebraElement":
-        """Contract the last tensor slot, landing in degree n-1.
+    def partial_trace(self) -> tuple["AlgebraElement", "AlgebraElement"]:
+        """Contract the last tensor slot: the pair (A, B) in degree n-1
+        with tr' X = N A + B.
 
         Term by term: a permutation fixing n restricts to 1..n-1 and
-        picks up a factor N (a closed loop); otherwise n is spliced out
-        of its cycle, sigma'(sigma^(-1)(n)) := sigma(n), with no factor.
-        Coefficients of the result are Polynomials in N.
+        picks up a factor N (a closed loop); these terms form A.
+        Otherwise n is spliced out of its cycle,
+        sigma'(sigma^(-1)(n)) := sigma(n), with no factor; B sums the
+        n-1 spliced permutations landing on each target.
         """
         if self.n < 2:
             raise ValueError("partial trace requires degree >= 2")
         table = sn_table(self.n)
-        # Each output entry sums n-1 spliced terms and one looped term.
-        num = self.num
-        if self.n * _maxabs(num) >= _I64_EXACT:
-            num = num.astype(object)
-        out = np.zeros((num.shape[0] + 1, table.size // self.n), dtype=num.dtype)
-        out[:-1] += num[:, table.splice].sum(axis=1)
-        out[1:] += num[:, table.embedding(self.n - 1)]
-        return _element(self.n - 1, out, self.den)
-
-    def evaluate(self, N: Union[int, Fraction]) -> "AlgebraElement":
-        """Substitute a concrete N into any polynomial coefficients."""
-        x = Fraction(N)
-        top = self.num.shape[0] - 1
-        num = _lincomb([(x.numerator ** q * x.denominator ** (top - q),
-                         self.num[q:q + 1]) for q in range(top + 1)])
-        return _element(self.n, num, self.den * x.denominator ** top)
+        looped = self.num[table.embedding(self.n - 1)]
+        spliced = self.num[table.splice]
+        # Each entry of B sums n-1 terms of size at most max|num|.
+        if (self.n - 1) * _maxabs(self.num) >= _I64_EXACT:
+            spliced = spliced.astype(object)
+        return (_element(self.n - 1, looped, self.den),
+                _element(self.n - 1, spliced.sum(axis=0), self.den))
 
     # -- JSON wire format ----------------------------------------------------
 
     def to_dict(self) -> dict:
         """{"n":3,"terms":[{"perm":[2,1,3],"coeff":"1/3"},...]}, terms
-        sorted by one-line form.  Only rational coefficients serialize."""
-        if self.num.shape[0] > 1:
-            raise TypeError("only rational coefficients have a JSON form")
+        sorted by one-line form."""
         return {"n": self.n,
                 "terms": [{"perm": list(p), "coeff": str(c)}
                           for p, c in self.sorted_terms()]}
@@ -475,8 +420,8 @@ def embed_element(a: AlgebraElement, n: int) -> AlgebraElement:
     if n == a.n:
         return a
     table = sn_table(n)
-    num = np.zeros((a.num.shape[0], table.size), dtype=a.num.dtype)
-    num[:, table.embedding(a.n)] = a.num
+    num = np.zeros(table.size, dtype=a.num.dtype)
+    num[table.embedding(a.n)] = a.num
     return _element(n, num, a.den)
 
 
@@ -491,8 +436,8 @@ def _subset_sum(slots: Iterable[int], n: int, signed: bool) -> AlgebraElement:
         raise ValueError(f"slots {vals} outside 1..{n}")
     table = sn_table(n)
     ranks = [table.rank[p] for p in perms_of(vals, n)]
-    num = np.zeros((1, table.size), dtype=np.int64)
-    num[0, ranks] = table.sign[ranks] if signed else 1
+    num = np.zeros(table.size, dtype=np.int64)
+    num[ranks] = table.sign[ranks] if signed else 1
     return _element(n, num, len(ranks))
 
 
@@ -540,6 +485,14 @@ def _tableau_columns(t: YoungTableau) -> list[list[int]]:
     return cols
 
 
+# Operators of standard tableaux are reused across suites and by the
+# Hermitian recursion (P_T needs Y_T and the parent P_T'), so both
+# families are memoized on the tableau's row tuple.  Concurrent inserts
+# are idempotent: the same key always maps to the same value.
+_YOUNG_CACHE: dict[tuple[tuple[int, ...], ...], AlgebraElement] = {}
+_HERMITIAN_CACHE: dict[tuple[tuple[int, ...], ...], AlgebraElement] = {}
+
+
 def young_operator(t: YoungTableau, *, allow_nonstandard: bool = False,
                    max_n: int | None = None) -> AlgebraElement:
     """The Young operator Y_T = (1/|T|) s_T a_T.
@@ -555,7 +508,11 @@ def young_operator(t: YoungTableau, *, allow_nonstandard: bool = False,
     """
     n = t.n
     check_tableau_size(n, max_n)
-    if not (allow_nonstandard or t.is_standard()):
+    cached = _YOUNG_CACHE.get(t.rows)
+    if cached is not None:
+        return cached  # only standard tableaux are ever stored
+    standard = t.is_standard()
+    if not (allow_nonstandard or standard):
         raise ValueError(f"tableau {t} is not standard "
                          "(pass allow_nonstandard=True to force)")
     s = AlgebraElement.one(n)
@@ -573,13 +530,10 @@ def young_operator(t: YoungTableau, *, allow_nonstandard: bool = False,
         norm *= factorial(len(row))
     for col in _tableau_columns(t):
         norm *= factorial(len(col))
-    return (s * a).scale(Fraction(norm, t.shape.hook_product()))
-
-
-# Hermitian operators reuse parents across all of SYT_n, so memoize on
-# the tableau's row tuple.  Concurrent inserts are idempotent: the same
-# key always maps to the same value.
-_HERMITIAN_CACHE: dict[tuple[tuple[int, ...], ...], AlgebraElement] = {}
+    result = (s * a).scale(Fraction(norm, t.shape.hook_product()))
+    if standard:
+        _YOUNG_CACHE[t.rows] = result
+    return result
 
 
 def hermitian_young(t: YoungTableau, *, max_n: int | None = None) -> AlgebraElement:
@@ -646,7 +600,7 @@ def primitivity_check(e: AlgebraElement, *, max_n: int | None = None) -> bool:
         x = e * AlgebraElement.from_perm(p) * e
         if x.is_zero():
             continue
-        first = int(np.flatnonzero(x.num.any(axis=0))[0])
+        first = int(np.flatnonzero(x.num)[0])
         ce = e._coeff_at(first)
         if not ce or x != e.scale(x._coeff_at(first) / ce):
             return False

@@ -431,26 +431,22 @@ def realize(a: AlgebraElement, N: int, *, size_cap: int | None = None) -> Tensor
 
     D(sigma) moves the vector in slot k to slot sigma(k); concretely the
     basis column encode(b) maps to the row whose multi-index a satisfies
-    a[sigma(k)] = b[k].  Coefficients must be rational (evaluate any
-    polynomial coefficients at a concrete N first).
+    a[sigma(k)] = b[k].  The partial-trace pair (A, B) of an element
+    realizes at a concrete N as realize(A.scale(N) + B, N).
     """
     n = a.n
     dim = _check_size(n, N, size_cap)
-    if a.num.shape[0] > 1:
-        raise TypeError("realize needs rational coefficients; "
-                        "call .evaluate(N) on polynomial-coefficient elements")
     table = sn_table(n)
     inverses = table.images[table.inverse]
     basis = basis_table(n, N)
     cols = np.arange(dim)
-    coeffs = a.num[0]
     # D(sigma) has one 1 per column, so each entry sums at most one
     # coefficient per permutation: int64 while sum |a_sigma| < 2**63.
-    dtype = np.int64 if sum(map(abs, coeffs.tolist())) < _I64_EXACT else object
+    dtype = np.int64 if sum(map(abs, a.num.tolist())) < _I64_EXACT else object
     num = np.zeros((dim, dim), dtype=dtype)
-    for i in np.flatnonzero(coeffs):
+    for i in np.flatnonzero(a.num):
         rows = basis.digits[:, inverses[i]] @ basis.place
-        num[rows, cols] += int(coeffs[i])
+        num[rows, cols] += int(a.num[i])
     return TensorOperator(n, N, num, a.den)
 
 

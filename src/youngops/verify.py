@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .polynomial import Polynomial
 from .sn_algebra import (
     AlgebraElement,
     embed_element,
@@ -103,25 +102,15 @@ class VerificationReport:
 
 
 class _Context:
-    """Shared tableaux and memoized operators for one verification run."""
+    """The degree, tensor dimensions, size cap and standard tableaux of
+    one verification run.  Operators come from the module memos of
+    young_operator and hermitian_young."""
 
     def __init__(self, n: int, tensor_dims: Sequence[int], max_n: int | None):
         self.n = n
         self.tensor_dims = tuple(tensor_dims)
         self.max_n = max_n
         self.tableaux = enumerate_syt(n, max_n)
-        self._young: dict[YoungTableau, AlgebraElement] = {}
-
-    def name(self, t: YoungTableau) -> str:
-        return t.to_string()
-
-    def Y(self, t: YoungTableau) -> AlgebraElement:
-        if t not in self._young:
-            self._young[t] = young_operator(t, max_n=self.max_n)
-        return self._young[t]
-
-    def P(self, t: YoungTableau) -> AlgebraElement:
-        return hermitian_young(t, max_n=self.max_n)
 
 
 def _diff_witness(lhs: AlgebraElement, rhs: AlgebraElement) -> str:
@@ -145,26 +134,25 @@ def _equality_check(check_id: str, anchor: str,
 def _suite_idempotency(ctx: _Context) -> list[CheckResult]:
     out = []
     for t in ctx.tableaux:
-        name = ctx.name(t)
-        y = ctx.Y(t)
+        name = t.to_string()
+        y = young_operator(t, max_n=ctx.max_n)
         out.append(_equality_check(f"idempotency:Y:{name}",
                                    "Y_T Y_T = Y_T", y * y, y))
-        p = ctx.P(t)
+        p = hermitian_young(t, max_n=ctx.max_n)
         out.append(_equality_check(f"idempotency:P:{name}",
                                    "P_T P_T = P_T", p * p, p))
     return out
 
 
 def _transversality(ctx: _Context, kind: str, suite: str) -> list[CheckResult]:
-    get = ctx.Y if kind == "Y" else ctx.P
+    build = young_operator if kind == "Y" else hermitian_young
+    ops = {t.to_string(): build(t, max_n=ctx.max_n) for t in ctx.tableaux}
     anchor = f"{kind}_T {kind}_U = delta_TU {kind}_T"
     out = []
-    for t in ctx.tableaux:
-        for u in ctx.tableaux:
-            want = get(t) if t == u else AlgebraElement.zero(ctx.n)
-            out.append(_equality_check(
-                f"{suite}:{ctx.name(t)}*{ctx.name(u)}", anchor,
-                get(t) * get(u), want))
+    for t, a in ops.items():
+        for u, b in ops.items():
+            want = a if t == u else AlgebraElement.zero(ctx.n)
+            out.append(_equality_check(f"{suite}:{t}*{u}", anchor, a * b, want))
     return out
 
 
@@ -177,15 +165,18 @@ def _suite_transversality(ctx: _Context) -> list[CheckResult]:
 
 
 def _suite_hermiticity(ctx: _Context) -> list[CheckResult]:
-    return [_equality_check(f"hermiticity:{ctx.name(t)}", "P_T* = P_T",
-                            ctx.P(t).involution(), ctx.P(t))
-            for t in ctx.tableaux]
+    out = []
+    for t in ctx.tableaux:
+        p = hermitian_young(t, max_n=ctx.max_n)
+        out.append(_equality_check(f"hermiticity:{t.to_string()}",
+                                   "P_T* = P_T", p.involution(), p))
+    return out
 
 
 def _suite_completeness(ctx: _Context) -> list[CheckResult]:
     total = AlgebraElement.zero(ctx.n)
     for t in ctx.tableaux:
-        total = total + ctx.P(t)
+        total = total + hermitian_young(t, max_n=ctx.max_n)
     return [_equality_check("completeness:sum", "sum_T P_T = 1",
                             total, AlgebraElement.one(ctx.n))]
 
@@ -193,10 +184,11 @@ def _suite_completeness(ctx: _Context) -> list[CheckResult]:
 def _suite_traces(ctx: _Context) -> list[CheckResult]:
     out = []
     for t in ctx.tableaux:
-        name = ctx.name(t)
+        name = t.to_string()
         shape = t.shape
         want = shape.dimension_polynomial() / shape.hook_product()
-        for kind, op in (("Y", ctx.Y(t)), ("P", ctx.P(t))):
+        for kind, op in (("Y", young_operator(t, max_n=ctx.max_n)),
+                         ("P", hermitian_young(t, max_n=ctx.max_n))):
             got = op.trace_polynomial()
             ok = got == want
             out.append(CheckResult(
@@ -206,20 +198,23 @@ def _suite_traces(ctx: _Context) -> list[CheckResult]:
 
 
 def _suite_partial_trace(ctx: _Context) -> list[CheckResult]:
+    # tr' X_T = N A + B, and the recursion (N+p-q) r X_T' is linear in N:
+    # it holds iff A = r X_T' and B = (p-q) r X_T', with r = |T'|/|T|.
     out = []
     for t in ctx.tableaux:
-        name = ctx.name(t)
+        name = t.to_string()
         parent, p, q = t.parent()
-        content = Polynomial([p - q, 1])  # N + p - q
         ratio = Fraction(parent.shape.hook_product(), t.shape.hook_product())
-        for kind, op, parent_op in (
-            ("Y", ctx.Y(t), young_operator(parent, max_n=ctx.max_n)),
-            ("P", ctx.P(t), hermitian_young(parent, max_n=ctx.max_n)),
-        ):
-            anchor = (f"tr' {kind}_T = (N+p-q) (|T'|/|T|) {kind}_T'")
-            out.append(_equality_check(
-                f"partial-trace:{kind}:{name}", anchor,
-                op.partial_trace(), parent_op.scale(content * ratio)))
+        for kind, build in (("Y", young_operator), ("P", hermitian_young)):
+            check_id = f"partial-trace:{kind}:{name}"
+            anchor = f"tr' {kind}_T = (N+p-q) (|T'|/|T|) {kind}_T'"
+            looped, spliced = build(t, max_n=ctx.max_n).partial_trace()
+            want = build(parent, max_n=ctx.max_n).scale(ratio)
+            check = _equality_check(check_id, anchor, looped, want)
+            if check.passed:
+                check = _equality_check(check_id, anchor,
+                                        spliced, want.scale(p - q))
+            out.append(check)
     return out
 
 
@@ -270,38 +265,41 @@ def _suite_tensor(ctx: _Context) -> list[CheckResult]:
     out = []
     for N in ctx.tensor_dims:
         prefix = f"tensor:N={N}"
-        names = [ctx.name(t) for t in ctx.tableaux]
-        mats = [realize(ctx.P(t), N) for t in ctx.tableaux]
+        names = [t.to_string() for t in ctx.tableaux]
+        mats = [realize(hermitian_young(t, max_n=ctx.max_n), N)
+                for t in ctx.tableaux]
         rep = orthogonality_report(mats, names)
         for c in rep.checks:
             out.append(CheckResult(
                 f"{prefix}:{c.check_id}",
                 "D(P_T) symmetric; D(P_T) D(P_U) = delta_TU D(P_T); sum = 1",
                 c.passed, c.witness))
-        for t, mat in zip(ctx.tableaux, mats):
+        for t, name, mat in zip(ctx.tableaux, names, mats):
             shape = t.shape
             want = Fraction(shape.dimension_polynomial()(N),
                             shape.hook_product())
             got_trace = mat.trace()
             out.append(CheckResult(
-                f"{prefix}:trace:{ctx.name(t)}", "tr D(P_T) = f_T(N)/|T|",
+                f"{prefix}:trace:{name}", "tr D(P_T) = f_T(N)/|T|",
                 got_trace == want,
                 "" if got_trace == want else f"got {got_trace}, want {want}"))
             got_rank = mat.rank()
             out.append(CheckResult(
-                f"{prefix}:rank:{ctx.name(t)}", "rank D(P_T) = f_T(N)/|T|",
+                f"{prefix}:rank:{name}", "rank D(P_T) = f_T(N)/|T|",
                 got_rank == want,
                 "" if got_rank == want else f"got {got_rank}, want {want}"))
         if ctx.n >= 2:
-            for t, p_mat in zip(ctx.tableaux, mats):
-                y = ctx.Y(t)
-                for kind, op, op_mat in (("Y", y, realize(y, N)),
-                                         ("P", ctx.P(t), p_mat)):
+            for t, name, p_mat in zip(ctx.tableaux, names, mats):
+                y = young_operator(t, max_n=ctx.max_n)
+                for kind, op, op_mat in (
+                        ("Y", y, realize(y, N)),
+                        ("P", hermitian_young(t, max_n=ctx.max_n), p_mat)):
+                    looped, spliced = op.partial_trace()
                     left = op_mat.partial_trace()
-                    right = realize(op.partial_trace().evaluate(N), N)
+                    right = realize(looped.scale(N) + spliced, N)
                     ok = left == right
                     out.append(CheckResult(
-                        f"{prefix}:ptrace:{kind}:{ctx.name(t)}",
+                        f"{prefix}:ptrace:{kind}:{name}",
                         "tr'(D(A)) = D(tr' A)", ok,
                         "" if ok else "matrix and algebra partial traces differ"))
     return out

@@ -57,19 +57,19 @@ def naive_trace_polynomial(a):
 
 
 def naive_partial_trace(a):
-    """Term-by-term partial trace over slot n: a fixed point of n becomes
-    a factor N, otherwise n is spliced out of its cycle."""
+    """Term-by-term partial trace over slot n, as the pair (A, B) with
+    tr' a = N A + B: a fixed point of n restricts into A (the factor N),
+    otherwise n is spliced out of its cycle into B."""
     n = a.n
-    N = Polynomial.monomial(1)
-    acc = {}
+    looped, spliced = {}, {}
     for p, c in a.terms.items():
         if p[-1] == n:
-            key, contrib = p[:-1], N * c
+            acc, key = looped, p[:-1]
         else:
+            acc = spliced
             key = tuple(p[x - 1] if p[x - 1] != n else p[-1] for x in range(1, n))
-            contrib = c + Polynomial.zero()
-        acc[key] = acc.get(key, Polynomial.zero()) + contrib
-    return AlgebraElement(n - 1, acc)
+        acc[key] = acc.get(key, Fraction(0)) + c
+    return AlgebraElement(n - 1, looped), AlgebraElement(n - 1, spliced)
 
 
 def fraction_matrix(op):

@@ -11,7 +11,6 @@ from time import perf_counter
 
 from youngops import (
     AlgebraElement,
-    Polynomial,
     YoungDiagram,
     YoungTableau,
     embed_element,
@@ -123,15 +122,16 @@ def test_criterion_5_three_box_sum_identity():
 
 def test_criterion_6_partial_trace_recursion():
     def body():
+        # tr' X = N A + B, so tr' X = (N + p - q) r X' holds iff
+        # A = r X' and B = (p - q) r X'.
         for n in (2, 3, 4, 5):
             for t in enumerate_syt(n):
                 parent, p, q = t.parent()
-                factor = Polynomial([p - q, 1]) * F(
-                    parent.shape.hook_product(), t.shape.hook_product())
-                assert young_operator(t).partial_trace() == \
-                    young_operator(parent).scale(factor), t
-                assert hermitian_young(t).partial_trace() == \
-                    hermitian_young(parent).scale(factor), t
+                r = F(parent.shape.hook_product(), t.shape.hook_product())
+                for build in (young_operator, hermitian_young):
+                    looped, spliced = build(t).partial_trace()
+                    assert looped == build(parent).scale(r), t
+                    assert spliced == build(parent).scale((p - q) * r), t
     _criterion(6, "last-slot partial trace reduces every operator to "
                   "(N+p-q) (|T'|/|T|) times its parent", 30.0, body)
 

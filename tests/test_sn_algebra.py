@@ -141,21 +141,26 @@ def test_product_bound_edges(monkeypatch, limit, below, above):
 
 @pytest.mark.parametrize("offset", [-1, 1])
 def test_partial_trace_bound_edge(offset):
-    # Coefficients M (1 + N) on all of S_3: the N**1 entries of the
-    # partial trace sum two spliced terms and one looped term, 3 M, which
-    # is where the int64 bound n * max|num| < 2**63 sits.
-    M = 2 ** 63 // 3 + offset
-    a = AlgebraElement(3, {p: Polynomial([M, M]) for p in all_permutations(3)})
-    assert (3 * M < 2 ** 63) == (offset < 0)
-    assert a.partial_trace() == naive_partial_trace(a)
+    # Coefficient M on all of S_3: each entry of B sums the n-1 = 2
+    # spliced terms, 2 M = 2**63 + 2 offset, which is where the int64
+    # bound (n-1) * max|num| < 2**63 sits.  A is a gather and cannot
+    # overflow.
+    M = 2 ** 62 + offset
+    a = AlgebraElement(3, {p: M for p in all_permutations(3)})
+    assert (2 * M < 2 ** 63) == (offset < 0)
+    looped, spliced = a.partial_trace()
+    assert (looped, spliced) == naive_partial_trace(a)
+    assert looped.num.dtype == np.int64
+    assert spliced.num.dtype == (np.int64 if offset < 0 else object)
 
 
 def test_equal_elements_hash_equal():
-    poly = AlgebraElement(2, {(2, 1): Polynomial([1])})
-    frac = AlgebraElement(2, {(2, 1): F(1)})
-    assert poly == frac and hash(poly) == hash(frac)
+    as_int = AlgebraElement(2, {(2, 1): 1})
+    as_frac = AlgebraElement(2, {(2, 1): F(3, 3)})
+    assert as_int == as_frac and hash(as_int) == hash(as_frac)
     big = AlgebraElement(2, {(1, 2): 2 ** 70, (2, 1): F(1, 3)})
     assert hash(big) == hash(AlgebraElement.from_dict(big.to_dict()))
+    assert big == (big * 3) / 3 and hash(big) == hash((big * 3) / 3)
 
 
 @settings(max_examples=40)
@@ -267,6 +272,10 @@ def test_young_operator_rejects_nonstandard_by_default():
     forced = young_operator(bad, allow_nonstandard=True)
     assert not forced.is_zero()
     assert forced != young_operator(T("12/3"))
+    # the operator memo keeps standard tableaux only
+    with pytest.raises(ValueError):
+        young_operator(bad)
+    assert young_operator(T("12/3")) is young_operator(T("12/3"))
 
 
 def test_young_operators_are_idempotent():
@@ -397,9 +406,9 @@ def test_trace_of_hermitian_littlewood_tableau():
 
 
 def test_partial_trace_of_identity():
-    got = AlgebraElement.one(4).partial_trace()
-    want = AlgebraElement.one(3).scale(Polynomial.monomial(1))
-    assert got == want
+    looped, spliced = AlgebraElement.one(4).partial_trace()
+    assert looped == AlgebraElement.one(3)  # tr' 1 = N * 1
+    assert spliced.is_zero()
 
 
 def test_partial_trace_requires_two_slots():
@@ -410,48 +419,55 @@ def test_partial_trace_requires_two_slots():
 def test_partial_trace_splice_rule():
     # a 3-cycle through the last slot splices to a transposition
     e = perm_el(3, 1, 2)  # 1 -> 3, 3 -> 2, 2 -> 1
-    got = e.partial_trace()
-    assert got.terms == {(2, 1): Polynomial.one()}
+    looped, spliced = e.partial_trace()
+    assert looped.is_zero() and spliced.terms == {(2, 1): 1}
     # a fixed last slot restricts and contributes N
-    e2 = perm_el(2, 1, 3)
-    assert e2.partial_trace().terms == {(2, 1): Polynomial.monomial(1)}
+    looped, spliced = perm_el(2, 1, 3).partial_trace()
+    assert looped.terms == {(2, 1): 1} and spliced.is_zero()
 
 
 def test_partial_trace_young_example():
-    got = young_operator(T("12/3")).partial_trace()
-    want = young_operator(T("12")).scale(
-        Polynomial([-1, 1]) * F(2, 3))  # (N - 1) * 2/3
-    assert got == want
+    # tr' Y_{12/3} = (N - 1) (2/3) Y_{12}
+    looped, spliced = young_operator(T("12/3")).partial_trace()
+    assert looped == young_operator(T("12")) * F(2, 3)
+    assert spliced == young_operator(T("12")) * F(-2, 3)
 
 
 def test_partial_trace_hermitian_example():
-    got = hermitian_young(T("123/45")).partial_trace()
+    looped, spliced = hermitian_young(T("123/45")).partial_trace()
     # removed cell has row and column length 2, so the factor is N itself,
     # and the hook ratio is 8/24 = 1/3
-    want = hermitian_young(T("123/4")).scale(
-        Polynomial.monomial(1) * F(8, 24))
-    assert got == want
+    assert looped == hermitian_young(T("123/4")) * F(8, 24)
+    assert spliced.is_zero()
 
 
 def test_partial_trace_recursion_all_tableaux():
     for n in range(2, 5):
         for t in enumerate_syt(n):
             parent, p, q = t.parent()
-            factor = Polynomial([p - q, 1]) * F(
-                parent.shape.hook_product(), t.shape.hook_product())
-            assert young_operator(t).partial_trace() == \
-                young_operator(parent).scale(factor)
-            assert hermitian_young(t).partial_trace() == \
-                hermitian_young(parent).scale(factor)
+            r = F(parent.shape.hook_product(), t.shape.hook_product())
+            for build in (young_operator, hermitian_young):
+                looped, spliced = build(t).partial_trace()
+                assert looped == build(parent) * r
+                assert spliced == build(parent) * ((p - q) * r)
+
+
+def _full_trace(x):
+    """tr X = N tr A + tr B with (A, B) = tr' X, down to degree 1."""
+    if x.n == 1:
+        return x.trace_polynomial()
+    looped, spliced = x.partial_trace()
+    return Polynomial.monomial(1) * _full_trace(looped) + _full_trace(spliced)
 
 
 def test_iterated_partial_trace_gives_full_trace():
     # tracing out slots one at a time must reproduce the full trace
     for t in enumerate_syt(4):
         op = hermitian_young(t)
-        reduced = op.partial_trace().partial_trace().partial_trace()
-        assert reduced.n == 1
-        assert reduced.trace_polynomial() == op.trace_polynomial()
+        assert _full_trace(op) == op.trace_polynomial()
+    x = AlgebraElement(4, {(4, 3, 2, 1): F(5, 7), (2, 3, 4, 1): -3,
+                           (1, 2, 4, 3): 2})
+    assert _full_trace(x) == x.trace_polynomial()
 
 
 # -- primitivity and inequivalence ------------------------------------------------
@@ -524,8 +540,16 @@ def test_element_json_round_trip():
     assert AlgebraElement.from_dict(d) == y
 
 
-def test_element_json_rejects_polynomial_coefficients():
-    traced = AlgebraElement.one(3).partial_trace()
-    with pytest.raises(TypeError):
-        traced.to_dict()
-    assert traced.evaluate(3).to_dict()["terms"][0]["coeff"] == "3"
+def test_polynomial_coefficients_raise_type_error():
+    # Coefficients are rational only; tr' returns two rational elements.
+    N = Polynomial.monomial(1)
+    one = AlgebraElement.one(2)
+    for make in (lambda: AlgebraElement(2, {(2, 1): N}),
+                 lambda: AlgebraElement(2, {(2, 1): Polynomial([1])}),
+                 lambda: AlgebraElement.from_perm((2, 1), N),
+                 lambda: one.scale(N),
+                 lambda: one * N,
+                 lambda: N * one,
+                 lambda: one / N):
+        with pytest.raises(TypeError):
+            make()

@@ -150,11 +150,9 @@ def test_realize_rejects_oversized_space():
         realize(AlgebraElement.one(2), 0)
 
 
-def test_realize_rejects_polynomial_coefficients():
-    traced = AlgebraElement.one(3).partial_trace()
-    with pytest.raises(TypeError):
-        realize(traced, 2)
-    assert realize(traced.evaluate(2), 2) == TensorOperator.identity(2, 2) * 2
+def test_realize_partial_trace_pair():
+    looped, spliced = AlgebraElement.one(3).partial_trace()
+    assert realize(looped.scale(2) + spliced, 2) == TensorOperator.identity(2, 2) * 2
 
 
 # -- exact arithmetic details ------------------------------------------------------
@@ -496,9 +494,10 @@ def test_matrix_partial_trace_commutes_with_realize():
     for n in (2, 3, 4):
         for t in enumerate_syt(n):
             for op in (young_operator(t), hermitian_young(t)):
+                looped, spliced = op.partial_trace()
                 for N in (2, 3):
                     assert (realize(op, N).partial_trace()
-                            == realize(op.partial_trace().evaluate(N), N))
+                            == realize(looped.scale(N) + spliced, N))
 
 
 # -- orthogonality reports ------------------------------------------------------------
