@@ -30,11 +30,11 @@ rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import permutations as _permutations
-from math import factorial, lcm
+from math import lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .permutations import (
     all_permutations,
     cycle_count,
     identity,
-    perms_of,
     transposition,
 )
 from .polynomial import Polynomial
@@ -127,6 +126,28 @@ class _SnTable:
         low = sn_table(k).images
         tail = np.broadcast_to(np.arange(k, self.n), (len(low), self.n - k))
         return self.ranks(np.hstack([low, tail]))
+
+    def young_subgroup(self, blocks: Iterable[Sequence[int]]) -> np.ndarray:
+        """Ranks of the Young subgroup prod_B Sym(B) of the disjoint
+        blocks B of 1..n: the permutations mapping every block onto
+        itself.
+
+        Each block's group is S_k written into the block's slots and
+        ranked in one call.  Disjoint blocks commute, so their groups
+        are chained through `comp`, each element arising once.
+        """
+        groups = []
+        for block in blocks:
+            if len(block) < 2:
+                continue  # Sym of one slot is trivial
+            slots = np.asarray(block, dtype=np.intp) - 1
+            low = sn_table(len(slots)).images
+            images = np.tile(np.arange(self.n), (len(low), 1))
+            images[:, slots] = slots[low]
+            groups.append(self.ranks(images))
+        if not groups:
+            return np.zeros(1, dtype=np.intp)  # rank 0 is the identity
+        return reduce(lambda g, h: self.comp[g[:, None], h].ravel(), groups)
 
     @cached_property
     def splice(self) -> np.ndarray:
@@ -435,7 +456,7 @@ def _subset_sum(slots: Iterable[int], n: int, signed: bool) -> AlgebraElement:
     if vals[0] < 1 or vals[-1] > n:
         raise ValueError(f"slots {vals} outside 1..{n}")
     table = sn_table(n)
-    ranks = [table.rank[p] for p in perms_of(vals, n)]
+    ranks = table.young_subgroup([vals])
     num = np.zeros(table.size, dtype=np.int64)
     num[ranks] = table.sign[ranks] if signed else 1
     return _element(n, num, len(ranks))
@@ -502,6 +523,11 @@ def young_operator(t: YoungTableau, *, allow_nonstandard: bool = False,
     product of the shape.  The product convention applies a_T first.
     Y_T is a primitive idempotent of A(S_n).
 
+    No algebra product is formed: the row group R and the column group C
+    meet only in the identity, so the |R| |C| products rc are distinct
+    permutations and Y_T is sign(c)/|T| on each of them, written in one
+    scatter through the composition table.
+
     Non-standard (but bijective) fillings are rejected unless
     allow_nonstandard is set, since nearly every identity in this
     package is about standard tableaux.
@@ -515,22 +541,18 @@ def young_operator(t: YoungTableau, *, allow_nonstandard: bool = False,
     if not (allow_nonstandard or standard):
         raise ValueError(f"tableau {t} is not standard "
                          "(pass allow_nonstandard=True to force)")
-    s = AlgebraElement.one(n)
-    for row in t.rows:
-        if len(row) > 1:
-            s = s * symmetrizer(row, n)
-    a = AlgebraElement.one(n)
-    for col in _tableau_columns(t):
-        if len(col) > 1:
-            a = a * antisymmetrizer(col, n)
-    # The normalized subset operators above carry 1/(row!) and 1/(col!)
-    # factors; rescale so the total prefactor is exactly 1/hook_product.
-    norm = 1
-    for row in t.rows:
-        norm *= factorial(len(row))
-    for col in _tableau_columns(t):
-        norm *= factorial(len(col))
-    result = (s * a).scale(Fraction(norm, t.shape.hook_product()))
+    table = sn_table(n)
+    rows = table.young_subgroup(t.rows)
+    cols = table.young_subgroup(_tableau_columns(t))
+    # The scatter is injective: rc = r'c' gives r'^-1 r = c' c^-1, which
+    # lies in R and in C.  A row and a column share exactly one box, so
+    # a permutation keeping every entry in its row and in its column
+    # fixes every entry: R n C = {e}, hence r = r' and c = c'.  Every
+    # numerator is therefore +-1, written once, and the index array has
+    # |R| |C| <= n! entries, so int64 needs no bound.
+    num = np.zeros(table.size, dtype=np.int64)
+    num[table.comp[rows[:, None], cols]] = table.sign[cols]
+    result = _element(n, num, t.shape.hook_product())
     if standard:
         _YOUNG_CACHE[t.rows] = result
     return result

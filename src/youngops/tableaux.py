@@ -89,9 +89,10 @@ class YoungDiagram:
 
     def hook_product(self) -> int:
         """Product of all hook lengths; the Young-operator normalization."""
+        cols = self.columns
         out = 1
         for j, k in self.cells():
-            out *= self.hook_length(j, k)
+            out *= (self.rows[j - 1] - k) + (cols[k - 1] - j) + 1
         return out
 
     def syt_count(self) -> int:
@@ -107,10 +108,11 @@ class YoungDiagram:
         f(N)/hook_product is the dimension of the irreducible subspace
         of (C^N)^(x n) cut out by any Young operator of this shape.
         """
-        f = Polynomial.one()
+        coeffs = [1]  # little-endian integer coefficients
         for j, k in self.cells():
-            f = f * Polynomial([k - j, 1])
-        return f
+            # times (N + c): coefficient i becomes c * a_i + a_(i-1)
+            coeffs = [(k - j) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        return Polynomial(coeffs)
 
     def dimension(self, N: int) -> int:
         """f(N)/hook_product at integer N (0 when row_count > N)."""

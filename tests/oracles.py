@@ -17,12 +17,14 @@ from youngops import (
     decode,
     encode,
     partitions,
+    sign,
 )
+from youngops.permutations import perms_of
 
 
-def brute_force_syt(n):
-    """All standard tableaux with n boxes, found by filtering every
-    bijective filling of every shape.  Exponential; keep n small."""
+def all_fillings(n):
+    """Every bijective filling of every shape with n boxes, standard or
+    not.  Exponential; keep n small."""
     found = []
     for shape in partitions(n):
         for filling in it_permutations(range(1, n + 1)):
@@ -31,10 +33,22 @@ def brute_force_syt(n):
             for lam in shape:
                 rows.append(list(filling[pos:pos + lam]))
                 pos += lam
-            t = YoungTableau(rows)
-            if t.is_standard():
-                found.append(t)
+            found.append(YoungTableau(rows))
     return found
+
+
+def brute_force_syt(n):
+    """All standard tableaux with n boxes, found by filtering every
+    bijective filling of every shape."""
+    return [t for t in all_fillings(n) if t.is_standard()]
+
+
+def naive_subset_sum(slots, n, signed):
+    """(1/k!) times the sum of the k! permutations moving only `slots`,
+    each weighted by its sign when `signed`, enumerated one by one."""
+    perms = list(perms_of(slots, n))
+    return AlgebraElement(n, {
+        p: Fraction(sign(p) if signed else 1, len(perms)) for p in perms})
 
 
 def naive_multiply(a, b):

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -22,9 +24,11 @@ from youngops import (
     young_operator,
 )
 from oracles import (
+    all_fillings,
     element_strategy,
     naive_multiply,
     naive_partial_trace,
+    naive_subset_sum,
     naive_trace_polynomial,
 )
 
@@ -236,6 +240,14 @@ def test_symmetrizers_idempotent_and_annihilating():
     assert (s * a).is_zero()
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_subset_sums_match_enumeration(n):
+    for k in range(1, n + 1):
+        for slots in combinations(range(1, n + 1), k):
+            assert symmetrizer(slots, n) == naive_subset_sum(slots, n, False)
+            assert antisymmetrizer(slots, n) == naive_subset_sum(slots, n, True)
+
+
 def test_symmetrizer_recursion():
     for k in (2, 3, 4):
         assert symmetrizer_recursion_check(k)
@@ -260,9 +272,29 @@ def test_young_operator_12_3_expansion():
 def test_young_operator_prefactor_identity():
     # Y_{123/45} = 2 * S{123} S{45} A{14} A{25}
     y = young_operator(T("123/45"))
-    prod = (symmetrizer([1, 2, 3], 5) * symmetrizer([4, 5], 5)
-            * antisymmetrizer([1, 4], 5) * antisymmetrizer([2, 5], 5))
-    assert y == prod * 2
+    s_a = (symmetrizer([1, 2, 3], 5) * symmetrizer([4, 5], 5)
+           * antisymmetrizer([1, 4], 5) * antisymmetrizer([2, 5], 5))
+    assert y == s_a * 2
+    # Every standard tableau up to n = 6 and every non-standard filling up
+    # to n = 4: Y_T = prod S(row) prod A(col) (prod row! prod col!)/|T|,
+    # built through products, and Y_T has one term per element r c of
+    # the row group times the column group.
+    cases = [t for n in range(1, 7) for t in enumerate_syt(n)]
+    cases += [t for n in range(1, 5) for t in all_fillings(n)
+              if not t.is_standard()]
+    for t in cases:
+        n = t.n
+        cols = [[row[k] for row in t.rows if k < len(row)]
+                for k in range(len(t.rows[0]))]
+        s_a = AlgebraElement.one(n)
+        for row in t.rows:
+            s_a = s_a * symmetrizer(row, n)
+        for col in cols:
+            s_a = s_a * antisymmetrizer(col, n)
+        norm = prod(factorial(len(b)) for b in (*t.rows, *cols))
+        y = young_operator(t, allow_nonstandard=True)
+        assert y == s_a * F(norm, t.shape.hook_product()), t
+        assert len(y) == norm, t
 
 
 def test_young_operator_rejects_nonstandard_by_default():

@@ -218,6 +218,17 @@ def test_dimension_polynomial_examples():
     assert d.dimension_polynomial() == N * (N + 1) * (N - 1)
 
 
+@given(partition_strategy())
+def test_shape_scalars_match_cell_products(shape):
+    d = YoungDiagram(shape)
+    f, hooks = Polynomial.one(), 1
+    for j, k in d.cells():
+        f = f * Polynomial([k - j, 1])
+        hooks *= d.hook_length(j, k)
+    assert d.dimension_polynomial() == f
+    assert d.hook_product() == hooks
+
+
 def test_dimension_polynomial_structure():
     for n in range(1, 7):
         for shape in partitions(n):
