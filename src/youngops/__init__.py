@@ -7,7 +7,7 @@ dimension N, and an exact matrix realization on (C^N)^(x n) for
 independent cross-validation.  Everything is computed in exact rational
 arithmetic; every identity either holds on the nose or fails loudly.
 """
-from .config import DEFAULT_MAX_N, DEFAULT_SIZE_CAP, MAX_N_ENV, SizeLimitError
+from .config import DEFAULT_MAX_N, DEFAULT_SIZE_CAP, SizeLimitError
 from .polynomial import Polynomial
 from .permutations import (
     Perm,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_MAX_N",
     "DEFAULT_SIZE_CAP",
-    "MAX_N_ENV",
     "SizeLimitError",
     "Polynomial",
     "Perm",

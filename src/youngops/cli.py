@@ -22,13 +22,12 @@ import json
 import sys
 from typing import IO, Sequence
 
-from .config import MAX_N_ENV, SizeLimitError
+from .config import DEFAULT_MAX_N
 from .sn_algebra import hermitian_young, young_operator
 from .tableaux import YoungTableau, enumerate_syt
 from .verify import (
     DEFAULT_TENSOR_DIMS,
     SUITE_NAMES,
-    UnknownSuiteError,
     VerificationReport,
     run_verification,
 )
@@ -75,8 +74,8 @@ def _emit(payload: dict | list, json_out: IO[str] | None, *,
 def _operator_for(args: argparse.Namespace):
     t = _parse_tableau(args.tableau)
     if args.kind == "hermitian":
-        return hermitian_young(t, max_n=args.max_n)
-    return young_operator(t, max_n=args.max_n)
+        return hermitian_young(t)
+    return young_operator(t)
 
 
 def _cmd_tableaux(args: argparse.Namespace) -> int:
@@ -150,8 +149,7 @@ def _render_report(report: VerificationReport) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_verification(args.n, tensor_dims=args.N,
-                              suites=args.suite, max_n=args.max_n)
+    report = run_verification(args.n, tensor_dims=args.N, suites=args.suite)
     sys.stdout.write(_render_report(report))
     for suite in report.suites:
         print(f"# timing suite={suite.suite} ms={suite.wall_time_ms:.1f}",
@@ -169,15 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-n", type=int, default=None,
-                       help="override the size cap on n "
-                            f"(default 7, or ${MAX_N_ENV})")
         p.add_argument("--json-out", metavar="PATH", default=None,
                        help="also write JSON output to PATH")
 
     p = sub.add_parser("tableaux",
                        help="enumerate standard Young tableaux")
     p.add_argument("--n", type=int, required=True, help="number of boxes")
+    p.add_argument("--max-n", type=int, default=None,
+                   help=f"raise the cap on n (default {DEFAULT_MAX_N})")
     add_common(p)
     p.set_defaults(func=_cmd_tableaux)
 
@@ -199,6 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of boxes")
     p.add_argument("--N", type=int, action="append", required=True,
                    help="tensor-slot dimension (repeatable)")
+    p.add_argument("--max-n", type=int, default=None,
+                   help=f"raise the cap on n (default {DEFAULT_MAX_N})")
     add_common(p)
     p.set_defaults(func=_cmd_dims)
 
@@ -224,9 +223,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         with _open_json_out(args.json_out) as json_out:
             args.json_out = json_out
             return args.func(args)
-    except (SizeLimitError, UnknownSuiteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,23 +1,20 @@
 """Size limits shared across the package.
 
 Everything here exists to make the library refuse loudly instead of
-grinding through factorial-sized work: group-algebra scans grow like n!
-and tensor realizations like N^(2n).
+grinding through factorial-sized work: group-algebra elements grow like
+n! and tensor realizations like N^(2n).  There are three caps:
+
+- `ALGEBRA_MAX_N` bounds the degree of every group-algebra element, and
+  so of every Young operator and every `verify` run.  It is fixed.
+- `DEFAULT_MAX_N` bounds tableau enumeration; `enumerate_syt(max_n=...)`
+  and the `--max-n` flag of `tableaux` and `dims` raise it.
+- `DEFAULT_SIZE_CAP` bounds N**n for tensor realizations; the
+  `size_cap` keyword of `realize` and `permutation_matrix` raises it.
 """
 from __future__ import annotations
 
-import os
-
-# Largest n for tableau enumeration and operator construction unless
-# overridden per call or via the environment.
+# Largest n for tableau enumeration unless raised per call.
 DEFAULT_MAX_N = 7
-
-# Environment override for DEFAULT_MAX_N (used by the CLI as well).
-MAX_N_ENV = "HY_MAX_N"
-
-# Largest n for the exhaustive n!-permutation scans
-# (primitivity / inequivalence checks).
-DEFAULT_SCAN_MAX_N = 5
 
 # Largest degree of a group-algebra element.  Elements are stored over
 # all n! permutations and multiplied through an n! x n! composition
@@ -32,29 +29,20 @@ class SizeLimitError(ValueError):
     """Raised when a requested computation exceeds a configured size cap."""
 
 
-def max_tableau_size(override: int | None = None) -> int:
-    """Effective n-cap: explicit override, else HY_MAX_N, else the default."""
-    if override is not None:
-        if override < 1:
-            raise ValueError(f"max_n must be positive, got {override}")
-        return override
-    env = os.environ.get(MAX_N_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{MAX_N_ENV} must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValueError(f"{MAX_N_ENV} must be positive, got {value}")
-        return value
-    return DEFAULT_MAX_N
+def check_algebra_size(n: int) -> None:
+    """Reject degrees outside 1..ALGEBRA_MAX_N."""
+    if not 1 <= n <= ALGEBRA_MAX_N:
+        raise SizeLimitError(
+            f"A(S_{n}) is outside the supported degrees 1..{ALGEBRA_MAX_N}: "
+            f"elements are stored over all n! permutations")
 
 
 def check_tableau_size(n: int, max_n: int | None = None) -> None:
-    """Reject n beyond the effective cap."""
-    cap = max_tableau_size(max_n)
+    """Reject n beyond max_n, or beyond DEFAULT_MAX_N when it is None."""
+    cap = DEFAULT_MAX_N if max_n is None else max_n
+    if cap < 1:
+        raise ValueError(f"max_n must be positive, got {cap}")
     if n > cap:
         raise SizeLimitError(
-            f"n={n} exceeds the configured maximum {cap}; "
-            f"raise it explicitly (max_n=... or {MAX_N_ENV}) if you mean it"
-        )
+            f"n={n} exceeds the tableau cap {cap}; "
+            "raise it with max_n=... (CLI: --max-n)")

@@ -38,17 +38,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import (
-    ALGEBRA_MAX_N,
-    DEFAULT_SCAN_MAX_N,
-    SizeLimitError,
-    check_tableau_size,
-)
+from .config import check_algebra_size
 from .exact import _I64_EXACT, _exact_dtype, _lincomb, _lowest_terms, _maxabs
 from .permutations import (
     Perm,
-    all_permutations,
     cycle_count,
+    cycle_type,
     identity,
     transposition,
 )
@@ -92,10 +87,7 @@ class _SnTable:
     """
 
     def __init__(self, n: int):
-        if not 1 <= n <= ALGEBRA_MAX_N:
-            raise SizeLimitError(
-                f"A(S_{n}) is outside the supported degrees 1..{ALGEBRA_MAX_N}: "
-                f"elements are stored over all n! permutations")
+        check_algebra_size(n)
         self.n = n
         self.perms: list[Perm] = list(_permutations(range(1, n + 1)))
         self.size = len(self.perms)
@@ -111,6 +103,14 @@ class _SnTable:
     def ranks(self, images: np.ndarray) -> np.ndarray:
         """Ranks of the permutations given as rows of 0-based images."""
         return self._rank_of_code[images @ self._weights]
+
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """Conjugacy-class id of each permutation: its cycle type,
+        numbered in order of first appearance."""
+        ids: dict[tuple[int, ...], int] = {}
+        return np.array([ids.setdefault(cycle_type(p), len(ids))
+                         for p in self.perms])
 
     @cached_property
     def comp(self) -> np.ndarray:
@@ -514,8 +514,8 @@ _YOUNG_CACHE: dict[tuple[tuple[int, ...], ...], AlgebraElement] = {}
 _HERMITIAN_CACHE: dict[tuple[tuple[int, ...], ...], AlgebraElement] = {}
 
 
-def young_operator(t: YoungTableau, *, allow_nonstandard: bool = False,
-                   max_n: int | None = None) -> AlgebraElement:
+def young_operator(t: YoungTableau, *,
+                   allow_nonstandard: bool = False) -> AlgebraElement:
     """The Young operator Y_T = (1/|T|) s_T a_T.
 
     s_T sums all permutations preserving each row of T; a_T sums, with
@@ -533,7 +533,7 @@ def young_operator(t: YoungTableau, *, allow_nonstandard: bool = False,
     package is about standard tableaux.
     """
     n = t.n
-    check_tableau_size(n, max_n)
+    check_algebra_size(n)
     cached = _YOUNG_CACHE.get(t.rows)
     if cached is not None:
         return cached  # only standard tableaux are ever stored
@@ -558,7 +558,7 @@ def young_operator(t: YoungTableau, *, allow_nonstandard: bool = False,
     return result
 
 
-def hermitian_young(t: YoungTableau, *, max_n: int | None = None) -> AlgebraElement:
+def hermitian_young(t: YoungTableau) -> AlgebraElement:
     """The Hermitian Young operator P_T.
 
     Defined recursively: P_T = Y_T for n <= 2 (and the identity element
@@ -573,7 +573,7 @@ def hermitian_young(t: YoungTableau, *, max_n: int | None = None) -> AlgebraElem
     the identity.
     """
     n = t.n
-    check_tableau_size(n, max_n)
+    check_algebra_size(n)
     key = t.rows
     cached = _HERMITIAN_CACHE.get(key)
     if cached is not None:
@@ -583,11 +583,11 @@ def hermitian_young(t: YoungTableau, *, max_n: int | None = None) -> AlgebraElem
     if n == 1:
         result = AlgebraElement.one(1)
     elif n == 2:
-        result = young_operator(t, max_n=max_n)
+        result = young_operator(t)
     else:
         parent, _, _ = t.parent()
-        wings = embed_element(hermitian_young(parent, max_n=max_n), n)
-        result = wings * young_operator(t, max_n=max_n) * wings
+        wings = embed_element(hermitian_young(parent), n)
+        result = wings * young_operator(t) * wings
     _HERMITIAN_CACHE[key] = result
     return result
 
@@ -602,42 +602,52 @@ def _require_idempotent(e: AlgebraElement, name: str) -> None:
         raise ValueError(f"{name} is not idempotent")
 
 
-def _check_scan_size(n: int, max_n: int | None) -> None:
-    cap = DEFAULT_SCAN_MAX_N if max_n is None else max_n
-    if n > cap:
-        raise SizeLimitError(
-            f"scanning all {n}! permutations exceeds the cap {cap}; "
-            "pass max_n to override")
+def _ideal_dimension(e1: AlgebraElement, e2: AlgebraElement) -> Fraction:
+    """dim e1 A e2 for idempotents e1, e2 of A = A(S_n), by the class-sum
+    formula proved at `primitivity_check`.  The sums run on Python
+    integers, since a float64 sum would round past 2**53."""
+    classes = sn_table(e1.n).classes
+    total = 0
+    for c in range(classes.max() + 1):
+        on_c = classes == c
+        total += (len(classes) // int(on_c.sum())
+                  * sum(e1.num[on_c].tolist()) * sum(e2.num[on_c].tolist()))
+    return Fraction(total, e1.den * e2.den)
 
 
-def primitivity_check(e: AlgebraElement, *, max_n: int | None = None) -> bool:
+def primitivity_check(e: AlgebraElement) -> bool:
     """True iff e*sigma*e is a scalar multiple of e for every sigma.
 
-    By linearity this spans all r in A(S_n), which characterizes
-    primitive idempotents.  Exhaustive over n! permutations, so capped.
+    By linearity this spans all r in A = A(S_n), which characterizes
+    primitive idempotents.  Since e = e*1*e is nonzero, it says
+    dim e A e = 1, which is decided by class sums with no scan:
+
+        dim e1 A e2 = sum_C (n!/|C|) e1(C) e2(C)
+
+    for idempotents e1, e2, over the conjugacy classes C of S_n, where
+    e(C) is the sum of e's coefficients on C.  Proof: x -> e1 x e2 is an
+    idempotent linear map L on A with image e1 A e2, so its rank equals
+    its trace.  In the permutation basis, the coefficient of sigma in
+    L(sigma) = sum_{tau,rho} e1(tau) e2(rho) tau sigma rho collects the
+    pairs with rho = sigma^-1 tau^-1 sigma, so
+
+        tr L = sum_tau e1(tau) sum_sigma e2(sigma^-1 tau^-1 sigma).
+
+    As sigma runs over S_n, sigma^-1 tau^-1 sigma runs over the class of
+    tau^-1, which is the class C of tau (inverses share a cycle type),
+    hitting each member n!/|C| times, the order of a centralizer.
+    Summing over tau in C gives the formula.  It needs L idempotent, so
+    an e that is zero or not idempotent raises ValueError.
     """
-    _check_scan_size(e.n, max_n)
     _require_idempotent(e, "e")
-    for p in all_permutations(e.n):
-        x = e * AlgebraElement.from_perm(p) * e
-        if x.is_zero():
-            continue
-        first = int(np.flatnonzero(x.num)[0])
-        ce = e._coeff_at(first)
-        if not ce or x != e.scale(x._coeff_at(first) / ce):
-            return False
-    return True
+    return _ideal_dimension(e, e) == 1
 
 
-def inequivalence_check(e1: AlgebraElement, e2: AlgebraElement, *,
-                        max_n: int | None = None) -> bool:
+def inequivalence_check(e1: AlgebraElement, e2: AlgebraElement) -> bool:
     """True iff e1*sigma*e2 = 0 for every sigma (the idempotents then
-    project onto inequivalent representations)."""
+    project onto inequivalent representations), that is, iff
+    dim e1 A e2 = 0 by the class-sum formula of `primitivity_check`."""
     e1._check_degree(e2)
-    _check_scan_size(e1.n, max_n)
     _require_idempotent(e1, "e1")
     _require_idempotent(e2, "e2")
-    for p in all_permutations(e1.n):
-        if not (e1 * AlgebraElement.from_perm(p) * e2).is_zero():
-            return False
-    return True
+    return _ideal_dimension(e1, e2) == 0

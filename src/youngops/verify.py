@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .config import DEFAULT_SIZE_CAP, SizeLimitError, check_algebra_size
 from .sn_algebra import (
     AlgebraElement,
     embed_element,
@@ -21,7 +22,7 @@ from .sn_algebra import (
     young_operator,
 )
 from .tableaux import YoungTableau, enumerate_syt
-from .tensor_rep import TensorOperator, orthogonality_report, realize
+from .tensor_rep import orthogonality_report, realize
 
 DEFAULT_TENSOR_DIMS = (2, 3)
 
@@ -102,15 +103,14 @@ class VerificationReport:
 
 
 class _Context:
-    """The degree, tensor dimensions, size cap and standard tableaux of
-    one verification run.  Operators come from the module memos of
+    """The degree, tensor dimensions and standard tableaux of one
+    verification run.  Operators come from the module memos of
     young_operator and hermitian_young."""
 
-    def __init__(self, n: int, tensor_dims: Sequence[int], max_n: int | None):
+    def __init__(self, n: int, tensor_dims: Sequence[int]):
         self.n = n
         self.tensor_dims = tuple(tensor_dims)
-        self.max_n = max_n
-        self.tableaux = enumerate_syt(n, max_n)
+        self.tableaux = enumerate_syt(n)
 
 
 def _diff_witness(lhs: AlgebraElement, rhs: AlgebraElement) -> str:
@@ -135,10 +135,10 @@ def _suite_idempotency(ctx: _Context) -> list[CheckResult]:
     out = []
     for t in ctx.tableaux:
         name = t.to_string()
-        y = young_operator(t, max_n=ctx.max_n)
+        y = young_operator(t)
         out.append(_equality_check(f"idempotency:Y:{name}",
                                    "Y_T Y_T = Y_T", y * y, y))
-        p = hermitian_young(t, max_n=ctx.max_n)
+        p = hermitian_young(t)
         out.append(_equality_check(f"idempotency:P:{name}",
                                    "P_T P_T = P_T", p * p, p))
     return out
@@ -146,7 +146,7 @@ def _suite_idempotency(ctx: _Context) -> list[CheckResult]:
 
 def _transversality(ctx: _Context, kind: str, suite: str) -> list[CheckResult]:
     build = young_operator if kind == "Y" else hermitian_young
-    ops = {t.to_string(): build(t, max_n=ctx.max_n) for t in ctx.tableaux}
+    ops = {t.to_string(): build(t) for t in ctx.tableaux}
     anchor = f"{kind}_T {kind}_U = delta_TU {kind}_T"
     out = []
     for t, a in ops.items():
@@ -167,7 +167,7 @@ def _suite_transversality(ctx: _Context) -> list[CheckResult]:
 def _suite_hermiticity(ctx: _Context) -> list[CheckResult]:
     out = []
     for t in ctx.tableaux:
-        p = hermitian_young(t, max_n=ctx.max_n)
+        p = hermitian_young(t)
         out.append(_equality_check(f"hermiticity:{t.to_string()}",
                                    "P_T* = P_T", p.involution(), p))
     return out
@@ -176,7 +176,7 @@ def _suite_hermiticity(ctx: _Context) -> list[CheckResult]:
 def _suite_completeness(ctx: _Context) -> list[CheckResult]:
     total = AlgebraElement.zero(ctx.n)
     for t in ctx.tableaux:
-        total = total + hermitian_young(t, max_n=ctx.max_n)
+        total = total + hermitian_young(t)
     return [_equality_check("completeness:sum", "sum_T P_T = 1",
                             total, AlgebraElement.one(ctx.n))]
 
@@ -187,8 +187,7 @@ def _suite_traces(ctx: _Context) -> list[CheckResult]:
         name = t.to_string()
         shape = t.shape
         want = shape.dimension_polynomial() / shape.hook_product()
-        for kind, op in (("Y", young_operator(t, max_n=ctx.max_n)),
-                         ("P", hermitian_young(t, max_n=ctx.max_n))):
+        for kind, op in (("Y", young_operator(t)), ("P", hermitian_young(t))):
             got = op.trace_polynomial()
             ok = got == want
             out.append(CheckResult(
@@ -208,8 +207,8 @@ def _suite_partial_trace(ctx: _Context) -> list[CheckResult]:
         for kind, build in (("Y", young_operator), ("P", hermitian_young)):
             check_id = f"partial-trace:{kind}:{name}"
             anchor = f"tr' {kind}_T = (N+p-q) (|T'|/|T|) {kind}_T'"
-            looped, spliced = build(t, max_n=ctx.max_n).partial_trace()
-            want = build(parent, max_n=ctx.max_n).scale(ratio)
+            looped, spliced = build(t).partial_trace()
+            want = build(parent).scale(ratio)
             check = _equality_check(check_id, anchor, looped, want)
             if check.passed:
                 check = _equality_check(check_id, anchor,
@@ -266,8 +265,7 @@ def _suite_tensor(ctx: _Context) -> list[CheckResult]:
     for N in ctx.tensor_dims:
         prefix = f"tensor:N={N}"
         names = [t.to_string() for t in ctx.tableaux]
-        mats = [realize(hermitian_young(t, max_n=ctx.max_n), N)
-                for t in ctx.tableaux]
+        mats = [realize(hermitian_young(t), N) for t in ctx.tableaux]
         rep = orthogonality_report(mats, names)
         for c in rep.checks:
             out.append(CheckResult(
@@ -290,10 +288,10 @@ def _suite_tensor(ctx: _Context) -> list[CheckResult]:
                 "" if got_rank == want else f"got {got_rank}, want {want}"))
         if ctx.n >= 2:
             for t, name, p_mat in zip(ctx.tableaux, names, mats):
-                y = young_operator(t, max_n=ctx.max_n)
+                y = young_operator(t)
                 for kind, op, op_mat in (
                         ("Y", y, realize(y, N)),
-                        ("P", hermitian_young(t, max_n=ctx.max_n), p_mat)):
+                        ("P", hermitian_young(t), p_mat)):
                     looped, spliced = op.partial_trace()
                     left = op_mat.partial_trace()
                     right = realize(looped.scale(N) + spliced, N)
@@ -334,15 +332,12 @@ def default_suites(n: int) -> list[str]:
 
 
 def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
-                     suites: Sequence[str] | None = None,
-                     max_n: int | None = None) -> VerificationReport:
+                     suites: Sequence[str] | None = None) -> VerificationReport:
     """Run the requested suites (default: all applicable, minus the
     deliberately failing conventional-transversality scan) and return a
-    fully sorted report."""
-    dims = tuple(tensor_dims) if tensor_dims else DEFAULT_TENSOR_DIMS
-    for N in dims:
-        if N < 1:
-            raise ValueError(f"N must be positive, got {N}")
+    fully sorted report.  Size caps are checked before any work: n
+    against ALGEBRA_MAX_N and, with the tensor suite, each N**n."""
+    check_algebra_size(n)
     if suites is None:
         chosen = default_suites(n)
     else:
@@ -351,7 +346,15 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
             if name not in _SUITES:
                 raise UnknownSuiteError(
                     f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    ctx = _Context(n, dims, max_n)
+    dims = tuple(tensor_dims) if tensor_dims else DEFAULT_TENSOR_DIMS
+    for N in dims:
+        if N < 1:
+            raise ValueError(f"N must be positive, got {N}")
+        if "tensor" in chosen and N ** n > DEFAULT_SIZE_CAP:
+            raise SizeLimitError(
+                f"tensor suite: N^n = {N}^{n} = {N ** n} exceeds the size "
+                f"cap {DEFAULT_SIZE_CAP}; use a smaller N or other suites")
+    ctx = _Context(n, dims)
     report = VerificationReport(n=n, tensor_dims=dims)
     for name in sorted(set(chosen)):
         runner, applies = _SUITES[name]

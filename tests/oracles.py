@@ -86,6 +86,24 @@ def naive_partial_trace(a):
     return AlgebraElement(n - 1, looped), AlgebraElement(n - 1, spliced)
 
 
+def naive_primitive(e):
+    """True iff e*sigma*e is a scalar multiple of the nonzero e for each
+    of the n! permutations sigma, tested at one point p0 of e's support:
+    x = c e exactly when x e(p0) = e x(p0)."""
+    p0 = next(iter(e.terms))
+    for p in it_permutations(range(1, e.n + 1)):
+        x = e * AlgebraElement.from_perm(p) * e
+        if x.scale(e.coefficient(p0)) != e.scale(x.coefficient(p0)):
+            return False
+    return True
+
+
+def naive_inequivalent(e1, e2):
+    """True iff e1*sigma*e2 = 0 for each of the n! permutations sigma."""
+    return all((e1 * AlgebraElement.from_perm(p) * e2).is_zero()
+               for p in it_permutations(range(1, e1.n + 1)))
+
+
 def fraction_matrix(op):
     """A TensorOperator's entries as a list of Fraction rows."""
     return [[Fraction(int(v), op.den) for v in row] for row in op.num]

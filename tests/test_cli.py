@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from youngops import verify
 from youngops.cli import main
 
 
@@ -121,15 +122,20 @@ def test_argparse_usage_exit_two():
     assert exc.value.code == 2
 
 
-def test_max_n_flag_and_env(capsys, monkeypatch):
+def test_max_n_flag(capsys):
     assert run_cli(capsys, "tableaux", "--n", "8")[0] == 2
     code, out, _ = run_cli(capsys, "tableaux", "--n", "8", "--max-n", "8")
     assert code == 0
     assert len(json.loads(out)) == 764
-    monkeypatch.setenv("HY_MAX_N", "8")
-    assert run_cli(capsys, "tableaux", "--n", "8")[0] == 0
-    monkeypatch.setenv("HY_MAX_N", "2")
-    assert run_cli(capsys, "tableaux", "--n", "3")[0] == 2
+    code, out, _ = run_cli(capsys, "dims", "--n", "8", "--N", "2",
+                           "--max-n", "8")
+    assert code == 0
+    assert out.endswith("sum(dim) = 256, N^n = 256: ok\n\n")
+    # the algebra cap is fixed: --max-n is no option of operator, trace
+    # or verify
+    for argv in (["operator", "12"], ["trace", "12"], ["verify", "--n", "2"]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--max-n", "8"])
 
 
 def test_output_is_byte_stable(capsys):
@@ -161,6 +167,20 @@ def test_installed_entry_point_runs():
 def _assert_one_line_error(code, err):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "8"],
+    ["verify", "--n", "6", "--N", "5"],  # 5**6 > DEFAULT_SIZE_CAP
+    ["operator", '{"rows":[[1,2,3,4,5,6,7,8,9,10]]}'],
+])
+def test_size_caps_refuse_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("work started before the size check")
+    monkeypatch.setattr(verify, "enumerate_syt", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    _assert_one_line_error(code, err)  # so no "# timing" line either
+    assert out == ""
 
 
 @pytest.mark.parametrize("text", ['{"rows":5}', '{"shape":[2]}'])

@@ -26,8 +26,10 @@ from youngops import (
 from oracles import (
     all_fillings,
     element_strategy,
+    naive_inequivalent,
     naive_multiply,
     naive_partial_trace,
+    naive_primitive,
     naive_subset_sum,
     naive_trace_polynomial,
 )
@@ -526,12 +528,8 @@ def test_primitivity_rejects_bad_input():
         primitivity_check(AlgebraElement.one(2) * 2)  # not idempotent
     with pytest.raises(ValueError):
         primitivity_check(AlgebraElement.zero(2))
-    # default scan cap refuses n = 6; the cap override is honored both ways
-    with pytest.raises(SizeLimitError):
-        primitivity_check(symmetrizer(range(1, 7), 6))
-    with pytest.raises(SizeLimitError):
-        primitivity_check(symmetrizer([1, 2], 2), max_n=1)
-    assert primitivity_check(symmetrizer([1, 2], 2), max_n=2)
+    # class sums need no scan, so n = 6 is answered
+    assert primitivity_check(symmetrizer(range(1, 7), 6))
 
 
 def test_inequivalence_of_different_shapes():
@@ -557,6 +555,62 @@ def test_symmetrizer_vs_antisymmetrizer_inequivalent():
 def test_inequivalence_degree_mismatch():
     with pytest.raises(ValueError):
         inequivalence_check(AlgebraElement.one(2), AlgebraElement.one(3))
+
+
+def _assert_certificate_matches_scans(ops):
+    for a in ops:
+        assert primitivity_check(a) == naive_primitive(a)
+        for b in ops:
+            assert inequivalence_check(a, b) == naive_inequivalent(a, b)
+
+
+def test_class_sum_certificate_matches_scans():
+    # every ordered pair of Y_T and of P_T at n <= 4, and of P_T at n = 5
+    for n in range(1, 5):
+        for build in (young_operator, hermitian_young):
+            _assert_certificate_matches_scans(
+                [build(t) for t in enumerate_syt(n)])
+    _assert_certificate_matches_scans(
+        [hermitian_young(t) for t in enumerate_syt(5)])
+
+
+def test_sum_of_two_shapes_is_not_primitive():
+    e = hermitian_young(T("123/45")) + hermitian_young(T("1234/5"))
+    assert sn_algebra._ideal_dimension(e, e) == 2
+    assert not primitivity_check(e)
+    assert not naive_primitive(e)
+
+
+def test_hermitian_operators_certified_at_six_and_seven():
+    tableaux = enumerate_syt(6)
+    ops = [hermitian_young(t) for t in tableaux]
+    assert all(primitivity_check(p) for p in ops)  # each P_T idempotent
+    for t, a in zip(tableaux, ops):
+        for u, b in zip(tableaux, ops):
+            assert sn_algebra._ideal_dimension(a, b) == (t.shape == u.shape)
+    assert primitivity_check(hermitian_young(T("1357/24/6")))
+
+
+@pytest.mark.parametrize("k, dtype", [(2 ** 30, np.int64), (2 ** 40, object)])
+def test_certificate_is_exact_past_float64(k, dtype):
+    # x = g P_T g^-1 is a primitive idempotent whose numerators reach
+    # about k**2; a float64 class sum rounds them and misses dim = 1
+    t13 = AlgebraElement.from_perm((3, 2, 1, 4))
+    one = AlgebraElement.one(4)
+    g = one + t13.scale(k)
+    g_inv = (one - t13.scale(k)).scale(F(1, 1 - k * k))
+    x = g * hermitian_young(T("12/34")) * g_inv
+    assert x.num.dtype == dtype and int(abs(x.num).max()) > 2 ** 53
+    assert primitivity_check(x)
+
+
+def test_operators_refuse_degrees_past_the_algebra_cap():
+    t = YoungTableau([list(range(1, 11))])
+    built = len(sn_algebra._HERMITIAN_CACHE)
+    for build in (young_operator, hermitian_young):
+        with pytest.raises(SizeLimitError):
+            build(t)
+    assert len(sn_algebra._HERMITIAN_CACHE) == built  # no parent was built
 
 
 # -- wire format --------------------------------------------------------------------

@@ -109,17 +109,6 @@ def test_enumeration_rejects_bad_n():
     assert len(enumerate_syt(8, max_n=8)) == 764
 
 
-def test_enumeration_env_override(monkeypatch):
-    monkeypatch.setenv("HY_MAX_N", "3")
-    with pytest.raises(SizeLimitError):
-        enumerate_syt(4)
-    monkeypatch.setenv("HY_MAX_N", "8")
-    assert len(enumerate_syt(8)) == 764
-    monkeypatch.setenv("HY_MAX_N", "junk")
-    with pytest.raises(ValueError):
-        enumerate_syt(2)
-
-
 def test_regular_representation_count():
     # sum over shapes of (number of SYT)^2 = n!
     for n in range(1, 7):
