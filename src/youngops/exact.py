@@ -1,4 +1,5 @@
-"""Exact integer kernels shared by the algebra and the matrix layers.
+"""Exact rational values and the integer kernels shared by the algebra
+and the matrix layers.
 
 Both layers store a rational array as integer numerators over one
 positive common denominator, in lowest terms: int64 when every entry is
@@ -7,10 +8,19 @@ operation on such arrays runs in the cheapest dtype that a bound proved
 at its call site allows -- float64 below 2**53, where every integer is
 exactly representable, int64 below 2**63, and Python integers past
 that -- so results are always exact.
+
+`_Exact` is the one value type over that storage.  A subclass supplies
+its index space and its canonical constructor, and inherits what acts
+elementwise on `num`: sums, differences, negation, scaling by a
+`numbers.Rational` (any other scalar raises TypeError), and equality,
+hashing and truth on the canonical form.  Products, traces and views
+stay with the subclass.
 """
 from __future__ import annotations
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 
 import numpy as np
 
@@ -66,3 +76,103 @@ def _lowest_terms(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
         if num.dtype == object and _maxabs(num) < _I64_EXACT:
             num = num.astype(np.int64)
     return num, den
+
+
+def _common_denominator(shape: int | tuple[int, ...],
+                        fractions: list[tuple[object, Fraction]]
+                        ) -> tuple[np.ndarray, int]:
+    """(num, den) of the array holding f at each (index, f) of
+    `fractions` and 0 elsewhere, over the lcm of the denominators."""
+    den = lcm(*(f.denominator for _, f in fractions))
+    num = np.zeros(shape, dtype=object)
+    for index, f in fractions:
+        num[index] = f.numerator * (den // f.denominator)
+    return num, den
+
+
+def _scalar(c) -> Fraction:
+    """c as a Fraction of Python integers: exact scalars are the
+    numbers.Rational values, numpy integers included."""
+    if not isinstance(c, Rational):
+        raise TypeError(f"bad scalar type {type(c).__name__}")
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+class _Exact:
+    """num / den over an index space, canonical and immutable.
+
+    A subclass supplies `_space()`, the tuple that fixes its index
+    space, and the classmethod `_new(*space, num, den)`, the one
+    constructor: it resets the subclass's caches, calls `_store`, and
+    owns `num` afterwards.
+    """
+
+    __slots__ = ("num", "den")
+
+    def _store(self, num: np.ndarray, den: int) -> None:
+        """Set num / den in lowest terms, with `num` read-only."""
+        self.num, self.den = _lowest_terms(num, den)
+        self.num.flags.writeable = False
+
+    def _check_space(self, other: "_Exact") -> None:
+        if self._space() != other._space():
+            raise ValueError(f"{type(self).__name__} spaces differ: "
+                             f"{self._space()} vs {other._space()}")
+
+    # -- the vector space ----------------------------------------------------
+
+    def _combine(self, other: "_Exact", sign: int):
+        self._check_space(other)
+        den = lcm(self.den, other.den)
+        num = _lincomb([(den // self.den, self.num),
+                        (sign * (den // other.den), other.num)])
+        return self._new(*self._space(), num, den)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._new(*self._space(), -self.num, self.den)
+
+    def scale(self, c):
+        f = _scalar(c)
+        num = _lincomb([(f.numerator, self.num)])
+        return self._new(*self._space(), num, self.den * f.denominator)
+
+    def __mul__(self, c):
+        """Scalar multiple.  A subclass's product handles its own type
+        first; `__rmul__` stays scalar-only, so factors never swap."""
+        if isinstance(c, Rational):
+            return self.scale(c)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return self.scale(1 / _scalar(c))
+
+    # -- comparison ------------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.den == other.den and self._space() == other._space()
+                and bool((self.num == other.num).all()))
+
+    def __hash__(self) -> int:
+        data = (tuple(self.num.flat) if self.num.dtype == object
+                else self.num.tobytes())
+        return hash((self._space(), self.den, data))
+
+    def __bool__(self) -> bool:
+        return bool(self.num.any())
+
+    def is_zero(self) -> bool:
+        return not self.num.any()

@@ -5,7 +5,8 @@ with exact rational coefficients.  It is stored densely: one integer
 numerator per permutation, indexed by the permutation's lexicographic
 rank, over one positive common denominator, in lowest terms.  The
 numerators are int64 whenever every entry fits and Python integers
-(object dtype) when one does not.  What depends on n alone -- the
+(object dtype) when one does not; sums, scaling and equality are those
+of every exact value (`exact._Exact`).  What depends on n alone -- the
 permutations in rank order, the composition table, the inverse,
 cycle-count and sign vectors, and the index maps of embedding and
 partial trace -- is held by one table per n, built on first use.
@@ -19,7 +20,7 @@ float64, which is then exact; below 2**63 it runs in int64, and past
 that on Python integers.  Every other fast path carries a bound of the
 same kind, so results are always exact.
 
-On top of the ring operations this module builds (anti)symmetrizers,
+On top of the product this module builds (anti)symmetrizers,
 Young operators Y_T, their Hermitian counterparts P_T, the *-involution,
 trace polynomials in the tensor dimension N, and the algebraic partial
 trace over the last slot.  That trace is linear in N (a fixed point of
@@ -32,14 +33,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import permutations as _permutations
-from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .config import check_algebra_size
-from .exact import _I64_EXACT, _exact_dtype, _lincomb, _lowest_terms, _maxabs
+from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
+                    _maxabs, _scalar)
 from .permutations import (
     Perm,
     cycle_count,
@@ -66,12 +67,6 @@ Scalar = int | Fraction
 
 # Entries gathered per step of a product; bounds its temporaries.
 _CHUNK = 1 << 14
-
-
-def _fraction(c: Scalar) -> Fraction:
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    raise TypeError(f"bad coefficient type {type(c).__name__}")
 
 
 # -- the per-degree table ------------------------------------------------------
@@ -213,26 +208,15 @@ def _convolve(table: _SnTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- elements -----------------------------------------------------------------------
 
 
-def _element(n: int, num: np.ndarray, den: int) -> "AlgebraElement":
-    """The element num / den in canonical form: lowest terms, int64
-    numerators whenever they fit."""
-    num, den = _lowest_terms(num, den)
-    num.flags.writeable = False
-    e = object.__new__(AlgebraElement)
-    e.n, e.num, e.den, e._terms = n, num, den, None
-    return e
-
-
-class AlgebraElement:
+class AlgebraElement(_Exact):
     """Formal sum sum_sigma c_sigma * sigma over S_n, stored densely.
 
     `num` holds one integer numerator per permutation in rank order; the
-    coefficient of permutation i is num[i] / den.  The form is canonical,
-    so equality and hashing compare arrays.  Instances are immutable
-    values.
+    coefficient of permutation i is num[i] / den.  Instances are
+    immutable values; `*` of two elements is the algebra product.
     """
 
-    __slots__ = ("n", "num", "den", "_terms")
+    __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Perm, Scalar] = ()):
         if n < 1:
@@ -246,13 +230,19 @@ class AlgebraElement:
                     raise ValueError(
                         f"permutation {p} has degree {len(p)}, expected {n}")
                 raise ValueError(f"not a permutation of 1..{n}: {tuple(p)}")
-            coeffs.append((rank, _fraction(c)))
-        den = lcm(*(f.denominator for _, f in coeffs))
-        num = np.zeros(table.size, dtype=object)
-        for rank, f in coeffs:
-            num[rank] = f.numerator * (den // f.denominator)
-        canon = _element(n, num, den)
-        self.n, self.num, self.den, self._terms = n, canon.num, canon.den, None
+            coeffs.append((rank, _scalar(c)))
+        self.n, self._terms = n, None
+        self._store(*_common_denominator(table.size, coeffs))
+
+    def _space(self) -> tuple[int]:
+        return (self.n,)
+
+    @classmethod
+    def _new(cls, n: int, num: np.ndarray, den: int) -> "AlgebraElement":
+        e = object.__new__(cls)
+        e.n, e._terms = n, None
+        e._store(num, den)
+        return e
 
     # -- constructors ------------------------------------------------------
 
@@ -285,12 +275,6 @@ class AlgebraElement:
                 for i in np.flatnonzero(self.num).tolist()})
         return self._terms
 
-    def __bool__(self) -> bool:
-        return bool(self.num.any())
-
-    def is_zero(self) -> bool:
-        return not self.num.any()
-
     def coefficient(self, p: Perm) -> Fraction:
         rank = sn_table(self.n).rank.get(tuple(p))
         if rank is None or not self.num[rank]:
@@ -304,64 +288,14 @@ class AlgebraElement:
     def __len__(self) -> int:
         return int(np.count_nonzero(self.num))
 
-    def _check_degree(self, other: "AlgebraElement") -> None:
-        if self.n != other.n:
-            raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-
-    # -- ring operations ----------------------------------------------------
-
-    def _combine(self, other: "AlgebraElement", sign: int) -> "AlgebraElement":
-        self._check_degree(other)
-        den = lcm(self.den, other.den)
-        num = _lincomb([(den // self.den, self.num),
-                        (sign * (den // other.den), other.num)])
-        return _element(self.n, num, den)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "AlgebraElement":
-        return _element(self.n, -self.num, self.den)
-
-    def scale(self, c: Scalar) -> "AlgebraElement":
-        f = _fraction(c)
-        num = _lincomb([(f.numerator, self.num)])
-        return _element(self.n, num, self.den * f.denominator)
+    # -- the algebra product ----------------------------------------------
 
     def __mul__(self, other: "AlgebraElement | Scalar") -> "AlgebraElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check_degree(other)
+            return super().__mul__(other)
+        self._check_space(other)
         num = _convolve(sn_table(self.n), self.num, other.num)
-        return _element(self.n, num, self.den * other.den)
-
-    def __rmul__(self, other: Scalar) -> "AlgebraElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __truediv__(self, other: Scalar) -> "AlgebraElement":
-        return self.scale(Fraction(1, 1) / other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return (self.n == other.n and self.den == other.den
-                and bool((self.num == other.num).all()))
-
-    def __hash__(self) -> int:
-        data = (tuple(self.num.flat) if self.num.dtype == object
-                else self.num.tobytes())
-        return hash((self.n, self.den, data))
+        return self._new(self.n, num, self.den * other.den)
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.n}, {dict(self.sorted_terms())!r})"
@@ -380,7 +314,7 @@ class AlgebraElement:
         adjoint, because every permutation acts as a real orthogonal
         matrix on tensor space.
         """
-        return _element(self.n, self.num[sn_table(self.n).inverse], self.den)
+        return self._new(self.n, self.num[sn_table(self.n).inverse], self.den)
 
     def trace_polynomial(self) -> Polynomial:
         """Trace on (C^N)^(x n) as a polynomial in N.
@@ -413,8 +347,8 @@ class AlgebraElement:
         # Each entry of B sums n-1 terms of size at most max|num|.
         if (self.n - 1) * _maxabs(self.num) >= _I64_EXACT:
             spliced = spliced.astype(object)
-        return (_element(self.n - 1, looped, self.den),
-                _element(self.n - 1, spliced.sum(axis=0), self.den))
+        return (self._new(self.n - 1, looped, self.den),
+                self._new(self.n - 1, spliced.sum(axis=0), self.den))
 
     # -- JSON wire format ----------------------------------------------------
 
@@ -443,7 +377,7 @@ def embed_element(a: AlgebraElement, n: int) -> AlgebraElement:
     table = sn_table(n)
     num = np.zeros(table.size, dtype=a.num.dtype)
     num[table.embedding(a.n)] = a.num
-    return _element(n, num, a.den)
+    return AlgebraElement._new(n, num, a.den)
 
 
 # -- symmetrizers ------------------------------------------------------------
@@ -459,7 +393,7 @@ def _subset_sum(slots: Iterable[int], n: int, signed: bool) -> AlgebraElement:
     ranks = table.young_subgroup([vals])
     num = np.zeros(table.size, dtype=np.int64)
     num[ranks] = table.sign[ranks] if signed else 1
-    return _element(n, num, len(ranks))
+    return AlgebraElement._new(n, num, len(ranks))
 
 
 def symmetrizer(slots: Iterable[int], n: int) -> AlgebraElement:
@@ -552,7 +486,7 @@ def young_operator(t: YoungTableau, *,
     # |R| |C| <= n! entries, so int64 needs no bound.
     num = np.zeros(table.size, dtype=np.int64)
     num[table.comp[rows[:, None], cols]] = table.sign[cols]
-    result = _element(n, num, t.shape.hook_product())
+    result = AlgebraElement._new(n, num, t.shape.hook_product())
     if standard:
         _YOUNG_CACHE[t.rows] = result
     return result
@@ -647,7 +581,7 @@ def inequivalence_check(e1: AlgebraElement, e2: AlgebraElement) -> bool:
     """True iff e1*sigma*e2 = 0 for every sigma (the idempotents then
     project onto inequivalent representations), that is, iff
     dim e1 A e2 = 0 by the class-sum formula of `primitivity_check`."""
-    e1._check_degree(e2)
+    e1._check_space(e2)
     _require_idempotent(e1, "e1")
     _require_idempotent(e2, "e2")
     return _ideal_dimension(e1, e2) == 0

@@ -13,10 +13,19 @@ the shape tie-break puts wider shapes first: 123, 12/3, 1/2/3, 13/2.
 from __future__ import annotations
 
 from math import factorial
+from numbers import Integral
 from typing import Iterator, Mapping, Sequence
 
 from .config import check_tableau_size
 from .polynomial import Polynomial
+
+
+def _integer(x: object) -> int:
+    """x as an int; anything but an integer (bool included) raises
+    TypeError rather than being truncated."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -42,7 +51,7 @@ class YoungDiagram:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[int]):
-        rs = tuple(int(x) for x in rows)
+        rs = tuple(_integer(x) for x in rows)
         if not rs:
             raise ValueError("diagram needs at least one row")
         if any(x < 1 for x in rs):
@@ -148,7 +157,7 @@ class YoungTableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rs = tuple(tuple(int(x) for x in row) for row in rows)
+        rs = tuple(tuple(_integer(x) for x in row) for row in rows)
         shape = YoungDiagram([len(row) for row in rs])  # validates the shape
         flat = sorted(x for row in rs for x in row)
         if flat != list(range(1, shape.n + 1)):
@@ -242,7 +251,7 @@ class YoungTableau:
     @classmethod
     def from_dict(cls, data: Mapping) -> "YoungTableau":
         t = cls(data["rows"])
-        if "shape" in data and tuple(data["shape"]) != t.shape.rows:
+        if "shape" in data and YoungDiagram(data["shape"]) != t.shape:
             raise ValueError(f"shape {data['shape']} does not match rows")
         return t
 

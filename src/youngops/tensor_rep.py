@@ -7,10 +7,9 @@ gives an independent check of every identity proved in the algebra:
 products, adjoints, traces and partial traces all commute with the
 realization.
 
-Matrices use the same exact storage as the algebra layer (see
+Matrices are exact values of the same kind as algebra elements (see
 `exact`): an integer numerator matrix over one positive common
-denominator, in lowest terms, int64 whenever every entry fits and
-Python integers (object dtype) past that.
+denominator, in lowest terms, with the same sums, scaling and equality.
 
 Weight blocks.  D(sigma) only moves slot contents, so it maps a basis
 vector to one with the same multiset of digits: its GL(N) weight.
@@ -25,8 +24,8 @@ max|a| * max|b| * s < 2**53, where every partial sum is an exactly
 representable integer, through int64 below 2**63, and on Python
 integers past that.  An operand with an entry off the blocks takes the
 same kernel with the trivial partition, one block of all N^n indices.
-Sums, scaling, `realize` and the partial trace carry int64 bounds of
-the same kind with an object fallback, so results are always exact.
+`realize` and the partial trace carry int64 bounds of the same kind
+with an object fallback, so results are always exact.
 
 Basis order: a multi-index (a_1, ..., a_n) with digits in 0..N-1 maps
 to the integer whose base-N digits it is, slot 1 most significant.
@@ -36,14 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd
 from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_SIZE_CAP, SizeLimitError
-from .exact import _I64_EXACT, _exact_dtype, _lincomb, _lowest_terms, _maxabs
+from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
+                    _maxabs)
 from .permutations import Perm
 from .sn_algebra import AlgebraElement, sn_table
 
@@ -148,19 +148,18 @@ def basis_table(n: int, N: int) -> _BasisTable:
     return _BasisTable(n, N)
 
 
-class TensorOperator:
+class TensorOperator(_Exact):
     """Exact rational N^n x N^n matrix acting on (C^N)^(x n).
 
-    Stored as (num, den): an integer matrix over a common positive
-    denominator, in lowest terms, int64 whenever every entry is below
-    2**63 in magnitude and object dtype otherwise, so equality is
-    structural.  `num` takes any integer dtype, or object dtype holding
-    integers, and `den` an integer; anything else raises TypeError
-    rather than being truncated.  Operators are immutable: the weight
+    Stored as num / den, the integer matrix `num` over a positive
+    denominator (see `exact`).  The constructor takes `num` of any
+    integer dtype, or object dtype holding integers, and `den` an
+    integer; anything else raises TypeError rather than being truncated.
+    It copies `num`, so operators are immutable values: the weight
     blocks of `num` are gathered once, on first use, and kept.
     """
 
-    __slots__ = ("n", "N", "num", "den", "_view")
+    __slots__ = ("n", "N", "_view")
 
     def __init__(self, n: int, N: int, num: np.ndarray, den: int = 1):
         dim = N ** n
@@ -172,28 +171,27 @@ class TensorOperator:
                 isinstance(v, Integral) for v in num.flat)):
             raise TypeError("numerators must be integers")
         # -2**63 fits int64, but its magnitude does not.
-        if num.dtype == np.int64 and num.size and num.min() == -_I64_EXACT:
-            num = num.astype(object)
-        self._set(n, N, *_lowest_terms(num, int(den)))
+        wide = num.dtype == np.int64 and num.size and num.min() == -_I64_EXACT
+        self.n, self.N, self._view = n, N, None
+        self._store(np.array(num, dtype=object if wide else None), int(den))
 
-    def _set(self, n: int, N: int, num: np.ndarray, den: int) -> None:
-        self.n = n
-        self.N = N
-        self.num = num
-        self.den = den
-        self._view = None
+    def _space(self) -> tuple[int, int]:
+        return (self.n, self.N)
 
     @classmethod
-    def _from_blocks(cls, n: int, N: int, part: _Partition,
-                     flat: np.ndarray, den: int) -> "TensorOperator":
-        """The operator flat / den on the diagonal blocks of `part`, zero
-        off them.  Lowest terms are taken on the block entries alone,
-        which hold every nonzero entry."""
-        flat, den = _lowest_terms(flat, den)
-        num = np.zeros(N ** (2 * n), dtype=flat.dtype)
-        num[part.entries] = flat
-        op = cls.__new__(cls)
-        op._set(n, N, num.reshape(N ** n, N ** n), den)
+    def _new(cls, n: int, N: int, num: np.ndarray, den: int,
+             part: _Partition | None = None) -> "TensorOperator":
+        """Given `part`, `num` is the flat vector of the entries of the
+        diagonal blocks of `part` and the operator vanishes off them, so
+        lowest terms are taken on the block entries alone."""
+        op = object.__new__(cls)
+        op.n, op.N, op._view = n, N, None
+        op._store(num, den)
+        if part is not None:
+            dense = np.zeros(N ** (2 * n), dtype=op.num.dtype)
+            dense[part.entries] = op.num
+            op.num = dense.reshape(N ** n, N ** n)
+            op.num.flags.writeable = False
         return op
 
     def _block_view(self) -> tuple[_Partition, np.ndarray, int]:
@@ -215,13 +213,11 @@ class TensorOperator:
 
     @classmethod
     def identity(cls, n: int, N: int) -> "TensorOperator":
-        dim = N ** n
-        return cls(n, N, np.identity(dim, dtype=np.int64))
+        return cls._new(n, N, np.identity(N ** n, dtype=np.int64), 1)
 
     @classmethod
     def zero(cls, n: int, N: int) -> "TensorOperator":
-        dim = N ** n
-        return cls(n, N, np.zeros((dim, dim), dtype=np.int64))
+        return cls._new(n, N, np.zeros((N ** n, N ** n), dtype=np.int64), 1)
 
     # -- structure ------------------------------------------------------------
 
@@ -232,74 +228,29 @@ class TensorOperator:
     def entry(self, row: int, col: int) -> Fraction:
         return Fraction(int(self.num[row, col]), self.den)
 
-    def is_zero(self) -> bool:
-        return not self.num.any()
-
     def is_symmetric(self) -> bool:
         return bool((self.num == self.num.T).all())
-
-    def _check_compatible(self, other: "TensorOperator") -> None:
-        if (self.n, self.N) != (other.n, other.N):
-            raise ValueError(
-                f"operator mismatch: (n={self.n}, N={self.N}) vs "
-                f"(n={other.n}, N={other.N})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorOperator):
-            return NotImplemented
-        return ((self.n, self.N, self.den) == (other.n, other.N, other.den)
-                and bool((self.num == other.num).all()))
 
     def __repr__(self) -> str:
         return (f"TensorOperator(n={self.n}, N={self.N}, "
                 f"den={self.den}, nnz={int(np.count_nonzero(self.num))})")
 
-    # -- arithmetic -------------------------------------------------------------
-
-    def _combine(self, other: "TensorOperator", sign: int) -> "TensorOperator":
-        self._check_compatible(other)
-        den = lcm(self.den, other.den)
-        num = _lincomb([(den // self.den, self.num),
-                        (sign * (den // other.den), other.num)])
-        return TensorOperator(self.n, self.N, num, den)
-
-    def __add__(self, other: "TensorOperator") -> "TensorOperator":
-        if not isinstance(other, TensorOperator):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "TensorOperator") -> "TensorOperator":
-        if not isinstance(other, TensorOperator):
-            return NotImplemented
-        return self._combine(other, -1)
-
-    def scale(self, c: Fraction | int) -> "TensorOperator":
-        c = Fraction(c)
-        num = _lincomb([(c.numerator, self.num)])
-        return TensorOperator(self.n, self.N, num, self.den * c.denominator)
-
-    def __mul__(self, other: "TensorOperator | Fraction | int"):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    # -- the matrix product ------------------------------------------------------
 
     def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
         if not isinstance(other, TensorOperator):
             return NotImplemented
-        self._check_compatible(other)
+        self._check_space(other)
         part, x, x_max = self._block_view()
         other_part, y, y_max = other._block_view()
         if part is not other_part:
             part = basis_table(self.n, self.N).whole
             x, y = self.num.ravel(), other.num.ravel()
         flat = _block_matmul(part, x, y, x_max * y_max * part.largest)
-        return TensorOperator._from_blocks(self.n, self.N, part, flat,
-                                           self.den * other.den)
+        return self._new(self.n, self.N, flat, self.den * other.den, part)
 
     def transpose(self) -> "TensorOperator":
-        return TensorOperator(self.n, self.N, self.num.T.copy(), self.den)
+        return self._new(self.n, self.N, self.num.T.copy(), self.den)
 
     # -- invariants of interest ---------------------------------------------------
 
@@ -325,7 +276,7 @@ class TensorOperator:
         if self.N * _maxabs(num) >= _I64_EXACT:
             num = num.astype(object)
         acc = np.trace(num.reshape(m, self.N, m, self.N), axis1=1, axis2=3)
-        return TensorOperator(self.n - 1, self.N, acc, self.den)
+        return self._new(self.n - 1, self.N, acc, self.den)
 
     # -- JSON wire format -----------------------------------------------------------
 
@@ -341,17 +292,8 @@ class TensorOperator:
     @classmethod
     def from_dict(cls, data: Mapping) -> "TensorOperator":
         n, N = int(data["n"]), int(data["N"])
-        dim = N ** n
-        den = 1
-        vals = []
-        for r, c, s in data["entries"]:
-            f = Fraction(s)
-            vals.append((r, c, f))
-            den = lcm(den, f.denominator)
-        num = np.zeros((dim, dim), dtype=object)
-        for r, c, f in vals:
-            num[r, c] = int(f * den)
-        return cls(n, N, num, den)
+        entries = [((r, c), Fraction(s)) for r, c, s in data["entries"]]
+        return cls(n, N, *_common_denominator((N ** n, N ** n), entries))
 
 
 def _block_matmul(part: _Partition, x: np.ndarray, y: np.ndarray,
@@ -447,7 +389,7 @@ def realize(a: AlgebraElement, N: int, *, size_cap: int | None = None) -> Tensor
     for i in np.flatnonzero(a.num):
         rows = basis.digits[:, inverses[i]] @ basis.place
         num[rows, cols] += int(a.num[i])
-    return TensorOperator(n, N, num, a.den)
+    return TensorOperator._new(n, N, num, a.den)
 
 
 def permutation_matrix(p: Perm, N: int, *, size_cap: int | None = None) -> TensorOperator:
@@ -502,7 +444,7 @@ def orthogonality_report(ops: Sequence[TensorOperator],
         raise ValueError("need at least one operator")
     first = ops[0]
     for other in ops[1:]:
-        first._check_compatible(other)
+        first._check_space(other)
     names = list(labels) if labels is not None else [str(i) for i in range(len(ops))]
     if len(names) != len(ops):
         raise ValueError("labels length must match ops length")

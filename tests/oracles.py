@@ -5,6 +5,7 @@ textbook-definition arithmetic, used to cross-check the optimized
 library code paths.
 """
 from fractions import Fraction
+from functools import cache
 from itertools import permutations as it_permutations
 
 from hypothesis import strategies as st
@@ -86,13 +87,21 @@ def naive_partial_trace(a):
     return AlgebraElement(n - 1, looped), AlgebraElement(n - 1, spliced)
 
 
+@cache
+def _right_translates(e):
+    """e*sigma for each of the n! permutations sigma, kept per element,
+    since the scans below pair one left factor with many right ones."""
+    return tuple(e * AlgebraElement.from_perm(p)
+                 for p in it_permutations(range(1, e.n + 1)))
+
+
 def naive_primitive(e):
     """True iff e*sigma*e is a scalar multiple of the nonzero e for each
     of the n! permutations sigma, tested at one point p0 of e's support:
     x = c e exactly when x e(p0) = e x(p0)."""
     p0 = next(iter(e.terms))
-    for p in it_permutations(range(1, e.n + 1)):
-        x = e * AlgebraElement.from_perm(p) * e
+    for translate in _right_translates(e):
+        x = translate * e
         if x.scale(e.coefficient(p0)) != e.scale(x.coefficient(p0)):
             return False
     return True
@@ -100,8 +109,8 @@ def naive_primitive(e):
 
 def naive_inequivalent(e1, e2):
     """True iff e1*sigma*e2 = 0 for each of the n! permutations sigma."""
-    return all((e1 * AlgebraElement.from_perm(p) * e2).is_zero()
-               for p in it_permutations(range(1, e1.n + 1)))
+    return all((translate * e2).is_zero()
+               for translate in _right_translates(e1))
 
 
 def fraction_matrix(op):

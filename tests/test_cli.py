@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from youngops import verify
 from youngops.cli import main
@@ -183,7 +188,14 @@ def test_size_caps_refuse_before_any_work(capsys, monkeypatch, argv):
     assert out == ""
 
 
-@pytest.mark.parametrize("text", ['{"rows":5}', '{"shape":[2]}'])
+# Non-integer entries are refused, not truncated: 2.9 is not read as 2,
+# nor "1" as 1, nor true as 1.
+MALFORMED_TABLEAUX = ['{"rows":5}', '{"shape":[2]}', '{"rows":[[1.5]]}',
+                      '{"rows":[[1,2.9],[3]]}', '{"rows":[["1"]]}',
+                      '{"rows":[[true]]}', '{"rows":[[1]],"shape":[true]}']
+
+
+@pytest.mark.parametrize("text", MALFORMED_TABLEAUX)
 def test_malformed_tableau_json_exits_two(capsys, text):
     code, _, err = run_cli(capsys, "operator", text)
     _assert_one_line_error(code, err)
@@ -201,3 +213,57 @@ def test_unwritable_json_out_exits_two_before_verify_runs(capsys, tmp_path):
                              "--json-out", str(path))
     _assert_one_line_error(code, err)
     assert out == ""
+
+
+# Pieces of argv for the fuzz.  --n and --max-n stay small or refused,
+# so that no drawn argv starts minutes of work.
+_N = [["--n", v] for v in ("-1", "0", "1", "2", "3", "8", "99")]
+_TENSOR_N = [["--N", v] for v in ("-1", "0", "1", "2", "3", "99", "x")]
+_TABLEAUX = [[t] for t in ["12", "12/3", "1/2/3", "21/3", "12//3", "", "abc",
+                           '{"rows":[[1,2],[3]]}', '{"rows":[[1,2],[3]]',
+                           '{"rows":[[1,2,3,4,5,6,7,8]]}', "{}", "null"]
+             + MALFORMED_TABLEAUX]
+_PIECES = (_N + _TENSOR_N + _TABLEAUX
+           + [["--max-n", v] for v in ("-1", "0", "3")]
+           + [["--suite", v] for v in ("tensor", "traces", "partial-trace",
+                                       "completeness", "nope")]
+           + [["--kind", v] for v in ("conventional", "hermitian", "other")]
+           + [["--json-out", v] for v in (os.devnull, ".")]
+           + [["--n"], ["--help"], ["--bogus"], ["-"], ["--"]])
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand, usually with its required arguments, and up to three
+    more pieces, in any order."""
+    command = draw(st.sampled_from(["tableaux", "operator", "trace", "dims",
+                                    "verify", "nope"]))
+    pieces = []
+    if draw(st.integers(0, 4)):  # required arguments, most of the time
+        if command in ("operator", "trace"):
+            pieces.append(draw(st.sampled_from(_TABLEAUX)))
+        else:
+            pieces.append(draw(st.sampled_from(_N)))
+        if command == "dims":
+            pieces.append(draw(st.sampled_from(_TENSOR_N)))
+    pieces += draw(st.lists(st.sampled_from(_PIECES), max_size=3))
+    return [command] + [tok for piece in draw(st.permutations(pieces))
+                        for tok in piece]
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_argv())
+def test_cli_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        lines = err.splitlines()
+        assert re.match(r"(youngops[\w -]*: )?error: ", lines[-1]), argv
+        assert sum("error:" in line for line in lines) == 1, argv

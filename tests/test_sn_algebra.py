@@ -169,6 +169,26 @@ def test_equal_elements_hash_equal():
     assert big == (big * 3) / 3 and hash(big) == hash((big * 3) / 3)
 
 
+def test_numpy_integer_scalars_are_exact():
+    a = AlgebraElement(3, {(2, 1, 3): F(1, 3), (1, 2, 3): 5})
+    assert a.scale(np.int64(3)) == a.scale(3) == np.int64(3) * a
+    assert a / np.int64(3) == a / 3
+    # the scalar becomes a Python integer, so no int64 product wraps
+    big = a.scale(np.int64(2 ** 62))
+    assert big.scale(np.int64(4)) == a.scale(2 ** 64)
+    for make in (lambda: a.scale(0.5), lambda: a.scale(np.float64(2)),
+                 lambda: a / 0.5, lambda: a.scale("2")):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_elements_are_read_only():
+    for a in (AlgebraElement(2, {(2, 1): 3}), hermitian_young(T("12/3")),
+              AlgebraElement.one(3) * 2, -AlgebraElement.one(3)):
+        with pytest.raises(ValueError):
+            a.num[0] = 1
+
+
 @settings(max_examples=40)
 @given(element_strategy(n=3), element_strategy(n=3), element_strategy(n=3))
 def test_multiplication_associates_and_distributes(a, b, c):

@@ -198,8 +198,51 @@ def test_scalar_and_sum_arithmetic():
     i = TensorOperator.identity(1, 3)
     assert (i * F(1, 2)) + (i * F(1, 2)) == i
     assert i - i == TensorOperator.zero(1, 3)
+    assert i.scale(np.int64(3)) == 3 * i == i * 3
     with pytest.raises(ValueError):
         i + TensorOperator.identity(2, 3)
+
+
+def test_inexact_scalars_and_mixed_operands_raise_type_error():
+    i = TensorOperator.identity(1, 2)
+    a = AlgebraElement.one(1)
+    for make in (lambda: i.scale(0.1), lambda: i.scale("1/2"),
+                 lambda: i / 0.5, lambda: i * 0.5, lambda: 0.5 * i,
+                 lambda: a + i, lambda: i + a, lambda: i - a):
+        with pytest.raises(TypeError):
+            make()
+    with pytest.raises(ZeroDivisionError):
+        i / 0
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (2, 2), (2, 3)])
+def test_zero_operator_is_false(n, N):
+    assert not TensorOperator.zero(n, N)
+    assert TensorOperator.identity(n, N)
+    assert not TensorOperator.identity(n, N) - TensorOperator.identity(n, N)
+
+
+def test_equal_operators_hash_equal():
+    rows = [[2, 0, 0, 1], [0, 4, 0, 0], [0, 0, 6, 0], [1, 0, 0, 8]]
+    as_int = TensorOperator(2, 2, np.array(rows, dtype=np.int64), 2)
+    as_obj = TensorOperator(2, 2, np.array(rows, dtype=object) * 3, 6)
+    assert as_int == as_obj and hash(as_int) == hash(as_obj)
+    big = as_int * 2 ** 70
+    assert big.num.dtype == object
+    assert big / 2 ** 70 == as_int and hash(big / 2 ** 70) == hash(as_int)
+    assert len({as_int, as_obj, big, big / 2 ** 70}) == 2
+
+
+def test_operator_does_not_share_the_callers_array():
+    arr = np.identity(4, dtype=np.int64)
+    op = TensorOperator(2, 2, arr)
+    arr[0, 1] = 5  # a write by the caller after construction
+    assert op == TensorOperator.identity(2, 2)
+    assert op @ op == TensorOperator.identity(2, 2)
+    for x in (op, op @ op, op + op, op.transpose(), op.partial_trace(),
+              realize(hermitian_young(T("12")), 2)):
+        with pytest.raises(ValueError):
+            x.num[0, 0] = 1
 
 
 # -- weight blocks ---------------------------------------------------------------
@@ -434,7 +477,12 @@ def test_operations_match_fraction_oracle_at_every_magnitude(case):
     assert fraction_matrix(a @ b) == naive_matmul(fa, fb)
     assert fraction_matrix(a + b) == _entrywise(lambda x, y: x + y, fa, fb)
     assert fraction_matrix(a - b) == _entrywise(lambda x, y: x - y, fa, fb)
+    assert fraction_matrix(a - a) == _entrywise(lambda x, y: x - y, fa, fa)
+    assert fraction_matrix(-a) == [[-x for x in row] for row in fa]
+    assert fraction_matrix(a / 2) == [[x / 2 for x in row] for row in fa]
     assert fraction_matrix(a.scale(c)) == [[c * x for x in row] for row in fa]
+    if c:
+        assert fraction_matrix(a / c) == [[x / c for x in row] for row in fa]
     assert a.trace() == sum(fa[i][i] for i in range(len(fa)))
     if n >= 2:
         assert (fraction_matrix(a.partial_trace())
