@@ -106,9 +106,9 @@ def _cmd_dims(args: argparse.Namespace) -> int:
             shape = t.shape
             f = int(shape.dimension_polynomial()(N))
             hook = shape.hook_product()
-            dim = shape.dimension(N)
+            dim = f // hook
             total += dim
-            rows.append({"tableau": t.to_string(), "f": f,
+            rows.append({"tableau": str(t), "f": f,
                          "hook": hook, "dim": dim})
         tables.append({"N": N, "rows": rows, "dim_sum": total,
                        "n_power": N ** args.n, "ok": total == N ** args.n})

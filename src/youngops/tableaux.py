@@ -290,5 +290,5 @@ def enumerate_syt(n: int, max_n: int | None = None) -> list[YoungTableau]:
             grown.append(rows + ((m,),))
         current = grown
     tableaux = [YoungTableau(rows) for rows in current]
-    tableaux.sort(key=lambda t: (t.row_word(), tuple(-x for x in t.shape.rows)))
+    tableaux.sort(key=lambda t: (t.row_word(), tuple(-len(r) for r in t.rows)))
     return tableaux

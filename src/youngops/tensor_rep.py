@@ -15,17 +15,18 @@ Weight blocks.  D(sigma) only moves slot contents, so it maps a basis
 vector to one with the same multiset of digits: its GL(N) weight.
 Every realized element is therefore block diagonal over the
 C(n+N-1, N-1) weight spaces, whose sizes are the multinomials
-n!/(m_0! ... m_{N-1}!).  Products and exact rank run block by block:
-an operator gathers its diagonal blocks once, on first use, after an
-exact check that it has no nonzero entry off them, and a product is one
+n!/(m_0! ... m_{N-1}!), and so is every sum, scaling, product,
+transpose and partial trace of one.  A TensorOperator is weight-diagonal
+by definition: the constructor refuses a matrix with a nonzero entry
+off the weight blocks.  Each operator keeps the entries of its diagonal
+blocks as one flat vector, taken to lowest terms at construction, and
+products and exact rank run on it block by block: a product is one
 batched matmul per block size.  Its inner dimension is the block size
 s, so the product runs through float64 BLAS while
 max|a| * max|b| * s < 2**53, where every partial sum is an exactly
 representable integer, through int64 below 2**63, and on Python
-integers past that.  An operand with an entry off the blocks takes the
-same kernel with the trivial partition, one block of all N^n indices.
-`realize` and the partial trace carry int64 bounds of the same kind
-with an object fallback, so results are always exact.
+integers past that.  `realize` and the partial trace carry int64 bounds
+of the same kind with an object fallback, so results are always exact.
 
 Basis order: a multi-index (a_1, ..., a_n) with digits in 0..N-1 maps
 to the integer whose base-N digits it is, slot 1 most significant.
@@ -81,47 +82,20 @@ def _check_size(n: int, N: int, size_cap: int | None) -> int:
     return dim
 
 
-class _Partition:
-    """A partition of range(dim) into blocks, and where the entries of
-    the diagonal blocks of a dim x dim matrix sit in its flat storage.
-
-    `groups` holds the blocks grouped by size: pairs (s, idx), sizes
-    ascending, with idx of shape (k, s) listing k blocks of s indices
-    each, in ascending order.  `entries` picks the diagonal-block entries
-    from num.ravel(): group by group, block by block, row-major within a
-    block.  For the trivial partition, one block of every index, it is
-    slice(None), which picks the whole matrix as a view.
-    """
-
-    def __init__(self, dim: int, groups: tuple):
-        self.groups = groups
-        self.largest = groups[-1][0]
-        if self.largest == dim:
-            self.entries = slice(None)
-        else:
-            self.entries = np.concatenate(
-                [(idx[:, :, None] * dim + idx[:, None, :]).ravel()
-                 for _, idx in groups])
-
-    def stacks(self, flat: np.ndarray) -> list[np.ndarray]:
-        """A flat vector of block entries as (k, s, s) views, one per
-        block size."""
-        out, start = [], 0
-        for s, idx in self.groups:
-            stop = start + idx.size * s
-            out.append(flat[start:stop].reshape(-1, s, s))
-            start = stop
-        return out
-
-
 class _BasisTable:
     """The basis of (C^N)^(x n) by flat index, and its weight blocks.
 
     `digits[i]` is decode(i) and `place` the base-N place value of each
     slot.  `weight[i]` is the index of basis vector i with its digits
     sorted, which labels its digit multiset; the indices of one label
-    form a weight block.  `blocks` is the weight partition and `whole`
-    the trivial one.
+    form a weight block.
+
+    `groups` holds the weight blocks grouped by size: pairs (s, idx),
+    sizes ascending, with idx of shape (k, s) listing k blocks of s
+    indices each, in ascending order; `largest` is the largest s.
+    `entries` picks the diagonal-block entries from num.ravel() of an
+    N^n x N^n matrix: group by group, block by block, row-major within
+    a block.
     """
 
     def __init__(self, n: int, N: int):
@@ -136,10 +110,23 @@ class _BasisTable:
         sizes = np.bincount(self.weight)
         sizes = sizes[sizes > 0]
         starts = np.cumsum(sizes) - sizes
-        self.blocks = _Partition(dim, tuple(
+        self.groups = tuple(
             (s, members[starts[sizes == s][:, None] + np.arange(s)])
-            for s in sorted(set(sizes.tolist()))))
-        self.whole = _Partition(dim, ((dim, np.arange(dim)[None]),))
+            for s in sorted(set(sizes.tolist())))
+        self.largest = self.groups[-1][0]
+        self.entries = np.concatenate(
+            [(idx[:, :, None] * dim + idx[:, None, :]).ravel()
+             for _, idx in self.groups])
+
+    def stacks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """A flat vector of block entries as (k, s, s) views, one per
+        block size."""
+        out, start = [], 0
+        for s, idx in self.groups:
+            stop = start + idx.size * s
+            out.append(flat[start:stop].reshape(-1, s, s))
+            start = stop
+        return out
 
 
 @cache
@@ -149,19 +136,23 @@ def basis_table(n: int, N: int) -> _BasisTable:
 
 
 class TensorOperator(_Exact):
-    """Exact rational N^n x N^n matrix acting on (C^N)^(x n).
+    """Exact rational N^n x N^n matrix acting on (C^N)^(x n), block
+    diagonal over the weight spaces.
 
     Stored as num / den, the integer matrix `num` over a positive
-    denominator (see `exact`).  The constructor takes `num` of any
+    denominator (see `exact`), with the entries of its diagonal weight
+    blocks kept as one flat vector.  The constructor takes `num` of any
     integer dtype, or object dtype holding integers, and `den` an
     integer; anything else raises TypeError rather than being truncated.
-    It copies `num`, so operators are immutable values: the weight
-    blocks of `num` are gathered once, on first use, and kept.
+    A nonzero entry off the weight blocks raises ValueError.  It copies
+    `num`, so operators are immutable values.
     """
 
-    __slots__ = ("n", "N", "_view")
+    __slots__ = ("n", "N", "_blocks", "_max")
 
     def __init__(self, n: int, N: int, num: np.ndarray, den: int = 1):
+        if n < 0 or N < 1:
+            raise ValueError(f"need n >= 0 and N >= 1, got n={n}, N={N}")
         dim = N ** n
         if num.shape != (dim, dim):
             raise ValueError(f"matrix shape {num.shape} != ({dim}, {dim})")
@@ -170,44 +161,54 @@ class TensorOperator(_Exact):
         if num.dtype.kind not in "biuO" or (num.dtype == object and not all(
                 isinstance(v, Integral) for v in num.flat)):
             raise TypeError("numerators must be integers")
+        weight = basis_table(n, N).weight
+        rows, cols = np.nonzero(num)
+        off = np.flatnonzero(weight[rows] != weight[cols])
+        if off.size:
+            raise ValueError(f"entry ({rows[off[0]]}, {cols[off[0]]}) lies "
+                             "off the weight blocks")
         # -2**63 fits int64, but its magnitude does not.
         wide = num.dtype == np.int64 and num.size and num.min() == -_I64_EXACT
-        self.n, self.N, self._view = n, N, None
-        self._store(np.array(num, dtype=object if wide else None), int(den))
+        self.n, self.N = n, N
+        self._store(num.astype(object) if wide else num, int(den))
 
     def _space(self) -> tuple[int, int]:
         return (self.n, self.N)
 
     @classmethod
-    def _new(cls, n: int, N: int, num: np.ndarray, den: int,
-             part: _Partition | None = None) -> "TensorOperator":
-        """Given `part`, `num` is the flat vector of the entries of the
-        diagonal blocks of `part` and the operator vanishes off them, so
-        lowest terms are taken on the block entries alone."""
+    def _new(cls, n: int, N: int, num: np.ndarray, den: int) -> "TensorOperator":
+        """The operator num / den, which must vanish off the weight
+        blocks; `num` is the dense matrix or, when 1-D, the flat vector
+        of its weight-block entries (see `_store`).  Every caller meets
+        the rule:
+          - realize: D(sigma) keeps weights;
+          - identity and zero: diagonal;
+          - sums, differences, negation and scaling: entrywise, so an
+            entry that is zero in every operand stays zero;
+          - products: see `_block_matmul`;
+          - transpose: w(a) = w(b) is symmetric in a and b;
+          - partial trace: entry ((a, c), (b, c)) is nonzero only if
+            w(a) + e_c = w(b) + e_c, that is only if w(a) = w(b).
+        """
         op = object.__new__(cls)
-        op.n, op.N, op._view = n, N, None
+        op.n, op.N = n, N
         op._store(num, den)
-        if part is not None:
-            dense = np.zeros(N ** (2 * n), dtype=op.num.dtype)
-            dense[part.entries] = op.num
-            op.num = dense.reshape(N ** n, N ** n)
-            op.num.flags.writeable = False
         return op
 
-    def _block_view(self) -> tuple[_Partition, np.ndarray, int]:
-        """(part, flat, max|num|): the entries of the diagonal weight
-        blocks of num, in the order of `basis_table(n, N).blocks`, or
-        every entry, over the trivial partition, when num has a nonzero
-        entry off the weight blocks.  Built on first use and kept."""
-        if self._view is None:
-            basis = basis_table(self.n, self.N)
-            num = self.num.ravel()
-            flat = num[basis.blocks.entries]
-            if np.count_nonzero(flat) == np.count_nonzero(num):
-                self._view = (basis.blocks, flat, _maxabs(flat))
-            else:
-                self._view = (basis.whole, num, _maxabs(num))
-        return self._view
+    def _store(self, num: np.ndarray, den: int) -> None:
+        """Set num / den from the weight-block entries of `num`: gathered
+        from the dense matrix, or `num` itself when 1-D.  Lowest terms
+        are taken on those entries alone; they are kept as `_blocks`,
+        with `_max` = max|.|, and the read-only dense `num` is scattered
+        from them."""
+        basis = basis_table(self.n, self.N)
+        super()._store(num if num.ndim == 1 else num.ravel()[basis.entries],
+                       den)
+        self._blocks, self._max = self.num, _maxabs(self.num)
+        dense = np.zeros(self.dim ** 2, dtype=self._blocks.dtype)
+        dense[basis.entries] = self._blocks
+        self.num = dense.reshape(self.dim, self.dim)
+        self.num.flags.writeable = False
 
     # -- constructors -------------------------------------------------------
 
@@ -241,16 +242,13 @@ class TensorOperator(_Exact):
         if not isinstance(other, TensorOperator):
             return NotImplemented
         self._check_space(other)
-        part, x, x_max = self._block_view()
-        other_part, y, y_max = other._block_view()
-        if part is not other_part:
-            part = basis_table(self.n, self.N).whole
-            x, y = self.num.ravel(), other.num.ravel()
-        flat = _block_matmul(part, x, y, x_max * y_max * part.largest)
-        return self._new(self.n, self.N, flat, self.den * other.den, part)
+        basis = basis_table(self.n, self.N)
+        flat = _block_matmul(basis, self._blocks, other._blocks,
+                             self._max * other._max * basis.largest)
+        return self._new(self.n, self.N, flat, self.den * other.den)
 
     def transpose(self) -> "TensorOperator":
-        return self._new(self.n, self.N, self.num.T.copy(), self.den)
+        return self._new(self.n, self.N, self.num.T, self.den)
 
     # -- invariants of interest ---------------------------------------------------
 
@@ -259,11 +257,11 @@ class TensorOperator(_Exact):
         return Fraction(sum(self.num.diagonal().tolist()), self.den)
 
     def rank(self) -> int:
-        """Exact rank: the sum of the ranks of the diagonal blocks of
-        `_block_view`, each by fraction-free integer elimination."""
-        part, flat, _ = self._block_view()
-        return sum(_integer_rank(block)
-                   for stack in part.stacks(flat) for block in stack)
+        """Exact rank: the sum of the ranks of the diagonal weight
+        blocks, each by fraction-free integer elimination."""
+        return sum(_integer_rank(block) for stack
+                   in basis_table(self.n, self.N).stacks(self._blocks)
+                   for block in stack)
 
     def partial_trace(self) -> "TensorOperator":
         """Contract the last slot: an N^(n-1)-dimensional operator with
@@ -296,14 +294,14 @@ class TensorOperator(_Exact):
         return cls(n, N, *_common_denominator((N ** n, N ** n), entries))
 
 
-def _block_matmul(part: _Partition, x: np.ndarray, y: np.ndarray,
+def _block_matmul(basis: _BasisTable, x: np.ndarray, y: np.ndarray,
                   bound: int) -> np.ndarray:
-    """Exact products of matching diagonal blocks, given and returned as
-    flat vectors of block entries over `part` (see `_Partition`): one
+    """Exact products of matching diagonal weight blocks, given and
+    returned as flat vectors of block entries (see `_BasisTable`): one
     batched matmul per block size, in the cheapest dtype that is exact
     below `bound` = max|a| * max|b| * (largest block size s).
 
-    Let a and b vanish off the blocks of a partition.  Entry (i, j) of
+    Let a and b vanish off the weight blocks.  Entry (i, j) of
     ab is sum_k a[i, k] b[k, j], and a term is nonzero only when k lies
     in the block of i and in the block of j; so (ab)[i, j] vanishes
     unless i and j share a block, and then it is the (i, j) entry of the
@@ -319,7 +317,7 @@ def _block_matmul(part: _Partition, x: np.ndarray, y: np.ndarray,
     dtype = _exact_dtype(bound)
     x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
     out = np.empty(x.shape, dtype=dtype)
-    for a, b, z in zip(part.stacks(x), part.stacks(y), part.stacks(out)):
+    for a, b, z in zip(basis.stacks(x), basis.stacks(y), basis.stacks(out)):
         np.matmul(a, b, out=z)
     return out.astype(np.int64) if dtype is np.float64 else out
 

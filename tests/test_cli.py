@@ -69,6 +69,16 @@ def test_dims_table(capsys):
     assert "12/3" in out
 
 
+def test_dims_past_nine_boxes(capsys):
+    # Past n = 9 an entry can have two digits, so labels separate
+    # entries with dots.
+    code, out, _ = run_cli(capsys, "dims", "--n", "10", "--max-n", "10",
+                           "--N", "2")
+    assert code == 0
+    assert out.splitlines()[2].split()[0] == "1.2.3.4.5.6.7.8.9.10"
+    assert out.endswith("sum(dim) = 1024, N^n = 1024: ok\n\n")
+
+
 def test_dims_json_out(capsys, tmp_path):
     path = tmp_path / "dims.json"
     code, out, _ = run_cli(capsys, "dims", "--n", "2", "--N", "1",

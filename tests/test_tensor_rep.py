@@ -223,7 +223,7 @@ def test_zero_operator_is_false(n, N):
 
 
 def test_equal_operators_hash_equal():
-    rows = [[2, 0, 0, 1], [0, 4, 0, 0], [0, 0, 6, 0], [1, 0, 0, 8]]
+    rows = [[2, 0, 0, 0], [0, 4, 1, 0], [0, 1, 6, 0], [0, 0, 0, 8]]
     as_int = TensorOperator(2, 2, np.array(rows, dtype=np.int64), 2)
     as_obj = TensorOperator(2, 2, np.array(rows, dtype=object) * 3, 6)
     assert as_int == as_obj and hash(as_int) == hash(as_obj)
@@ -252,7 +252,7 @@ def test_operator_does_not_share_the_callers_array():
                                   (4, 3), (5, 2)])
 def test_basis_table_weight_blocks(n, N):
     basis = tensor_rep.basis_table(n, N)
-    blocks = [row.tolist() for _, idx in basis.blocks.groups for row in idx]
+    blocks = [row.tolist() for _, idx in basis.groups for row in idx]
     assert len(blocks) == comb(n + N - 1, N - 1)
     assert sorted(i for block in blocks for i in block) == list(range(N ** n))
     for block in blocks:
@@ -269,22 +269,60 @@ def test_permutation_matrices_vanish_off_the_weight_blocks(n, N):
         m = permutation_matrix(p, N)
         rows, cols = np.nonzero(m.num)
         assert (basis.weight[rows] == basis.weight[cols]).all()
-        assert m._block_view()[0] is basis.blocks
+        _assert_blocks_kept(m)
 
 
-def test_off_block_entry_selects_the_trivial_partition():
-    basis = tensor_rep.basis_table(2, 2)
+def _assert_blocks_kept(m):
+    """m vanishes off the weight blocks, and its kept block vector and
+    max|.| are those of its dense numerators."""
+    basis = tensor_rep.basis_table(m.n, m.N)
+    rows, cols = np.nonzero(m.num)
+    assert (basis.weight[rows] == basis.weight[cols]).all()
+    gathered = m.num.ravel()[basis.entries]
+    assert m._blocks.dtype == gathered.dtype
+    assert (m._blocks == gathered).all()
+    assert m._max == max((abs(int(v)) for v in gathered), default=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([(n, N) for n in range(1, 5)
+                                   for N in (1, 2, 3)]))
+def test_every_operation_keeps_operators_weight_diagonal(data, space):
+    n, N = space
+    a, b = (realize(data.draw(element_strategy(n=n)), N) for _ in range(2))
+    ops = [a, b, TensorOperator.identity(n, N), TensorOperator.zero(n, N),
+           a + b, a - b, a.scale(F(-3, 7)), -a, a @ b, a.transpose(),
+           TensorOperator.from_dict(a.to_dict())]
+    if n >= 2:
+        ops.append(a.partial_trace())
+    for m in ops:
+        _assert_blocks_kept(m)
+
+
+def test_off_block_entry_is_refused():
     num = np.identity(4, dtype=np.int64)
     num[0, 3] = 1  # |00> and |11> have different weights
-    assert TensorOperator(2, 2, num)._block_view()[0] is basis.whole
-    assert TensorOperator.identity(2, 2)._block_view()[0] is basis.blocks
+    with pytest.raises(ValueError, match=r"entry \(0, 3\) lies off"):
+        TensorOperator(2, 2, num)
+    data = TensorOperator.identity(2, 2).to_dict()
+    data["entries"].append([3, 0, "1/2"])
+    with pytest.raises(ValueError, match=r"entry \(3, 0\) lies off"):
+        TensorOperator.from_dict(data)
+    num[0, 3] = 0
+    assert TensorOperator(2, 2, num) == TensorOperator.identity(2, 2)
 
 
 # -- overflow bounds at their edges ------------------------------------------------
 
 
-def _op(n, N, rows, den=1):
-    return TensorOperator(n, N, np.array(rows, dtype=object), den)
+def _weight_diagonal(n, N, diagonal, den=1):
+    """The operator with `diagonal` (one value or one per index) on the
+    diagonal, 1 elsewhere on the weight blocks and 0 off them, over
+    `den`."""
+    weight = tensor_rep.basis_table(n, N).weight
+    num = (weight[:, None] == weight[None, :]).astype(object)
+    np.fill_diagonal(num, diagonal)
+    return TensorOperator(n, N, num, den)
 
 
 def _entrywise(f, x, y):
@@ -313,24 +351,17 @@ def _matmul_path(monkeypatch, a, b):
     (2 ** 63, np.int64, object),
 ])
 def test_matmul_bound_edges(monkeypatch, limit, below, above):
-    # [[A, 1], [1, A]] @ [[B, 1], [1, B]] has inner dimension 2, so the
-    # bound is max|a| * max|b| * 2 = 2 A B.
+    # At n = 2, N = 2 the weight blocks have sizes 1, 2, 1: the middle
+    # one makes [[A, 1], [1, A]] @ [[B, 1], [1, B]], with inner
+    # dimension 2, so the bound is max|a| * max|b| * 2 = 2 A B.
     A = 2 ** (limit.bit_length() // 2 - 1) - 1
     B = (limit - 1) // (2 * A)
-    a = _op(1, 2, [[A, 1], [1, A]])
+    a = _weight_diagonal(2, 2, A)
+    assert tensor_rep.basis_table(2, 2).largest == 2
     for b_max, path in ((B, below), (B + 1, above)):
         assert (2 * A * b_max < limit) == (path is below)
-        b = _op(1, 2, [[b_max, 1], [1, b_max]])
+        b = _weight_diagonal(2, 2, b_max)
         assert _matmul_path(monkeypatch, a, b) == {path}
-
-
-def _weight_diagonal(n, N, diagonal):
-    """The operator with `diagonal` on the diagonal, 1 elsewhere on the
-    weight blocks and 0 off them."""
-    weight = tensor_rep.basis_table(n, N).weight
-    num = (weight[:, None] == weight[None, :]).astype(object)
-    np.fill_diagonal(num, diagonal)
-    return TensorOperator(n, N, num)
 
 
 @pytest.mark.parametrize("limit, below, above", [
@@ -343,7 +374,7 @@ def test_block_matmul_bound_edges(monkeypatch, limit, below, above):
     A = 2 ** (limit.bit_length() // 2 - 1) - 1
     B = (limit - 1) // (3 * A)
     a = _weight_diagonal(3, 2, A)
-    assert a._block_view()[0].largest == 3
+    assert tensor_rep.basis_table(3, 2).largest == 3
     for b_max, path in ((B, below), (B + 1, above)):
         assert (3 * A * b_max < limit) == (path is below)
         assert 8 * A * b_max >= limit  # the dense bound would not decide it
@@ -351,65 +382,32 @@ def test_block_matmul_bound_edges(monkeypatch, limit, below, above):
         assert _matmul_path(monkeypatch, a, b) == {path}
 
 
-def test_mixed_operands_take_the_trivial_partition(monkeypatch):
-    # Realized P_T is weight-diagonal and x is not: a product with x on
-    # either side runs over one block of all 27 indices.
-    p = realize(hermitian_young(T("12/3")), 3)
-    rng = np.random.default_rng(5)
-    x = TensorOperator(3, 3, rng.integers(-9, 10, (27, 27)), 7)
-    basis = tensor_rep.basis_table(3, 3)
-    parts = []
-    real = tensor_rep._block_matmul
-
-    def spy(part, *args):
-        parts.append(part)
-        return real(part, *args)
-
-    monkeypatch.setattr(tensor_rep, "_block_matmul", spy)
-    for a, b, want in ((p, x, basis.whole), (x, p, basis.whole),
-                       (x, x, basis.whole), (p, p, basis.blocks)):
-        assert fraction_matrix(a @ b) == naive_matmul(fraction_matrix(a),
-                                                      fraction_matrix(b))
-        assert parts.pop() is want
-
-
 @pytest.mark.parametrize("t", enumerate_syt(4), ids=lambda t: t.to_string())
 def test_block_rank_matches_dense_and_fraction_ranks(t):
     m = realize(hermitian_young(t), 3)
-    assert m._block_view()[0] is tensor_rep.basis_table(4, 3).blocks
+    _assert_blocks_kept(m)
     want = naive_rank(fraction_matrix(m))
     assert m.rank() == tensor_rep._integer_rank(m.num) == want
-
-
-def test_rank_of_an_operator_off_the_weight_blocks():
-    # u v^T + w z^T with dense integer vectors: rank 2, and no weight
-    # block structure at all.
-    rng = np.random.default_rng(11)
-    u, v, w, z = rng.integers(-5, 6, (4, 9))
-    x = TensorOperator(2, 3, np.outer(u, v) + np.outer(w, z), 3)
-    assert x._block_view()[0] is tensor_rep.basis_table(2, 3).whole
-    assert (x.rank() == tensor_rep._integer_rank(x.num)
-            == naive_rank(fraction_matrix(x)) == 2)
 
 
 @pytest.mark.parametrize("offset", [-1, 1])
 def test_sum_and_scale_bound_edges(offset):
     # The int64 bound of a sum or a scaling is sum |k| * max|x| < 2**63.
     M = 2 ** 62 + offset  # x + y and x - (-y): 2 M = 2**63 + 2 offset
-    x = _op(1, 2, [[M, 1], [1, M]])
-    y = _op(1, 2, [[M, 0], [0, M - 1]])
+    x = _weight_diagonal(2, 2, M)
+    y = _weight_diagonal(2, 2, [M, M - 1, M, M])
     assert (2 * M < 2 ** 63) == (offset < 0)
     want = _entrywise(lambda a, b: a + b,
                       fraction_matrix(x), fraction_matrix(y))
     assert fraction_matrix(x + y) == want
     assert fraction_matrix(x - y.scale(-1)) == want
     Q = 2 ** 61 + offset  # 4 Q = 2**63 + 4 offset
-    q = _op(1, 2, [[Q, 1], [1, Q]])
+    q = _weight_diagonal(2, 2, Q)
     assert fraction_matrix(q.scale(4)) == [[4 * v for v in row]
                                            for row in fraction_matrix(q)]
     P = 2 ** 60 + offset  # over denominators 3 and 5: 5 P + 3 P = 8 P
-    p3 = _op(1, 2, [[P, 1], [1, P]], 3)
-    p5 = _op(1, 2, [[P, 1], [1, P]], 5)
+    p3 = _weight_diagonal(2, 2, P, 3)
+    p5 = _weight_diagonal(2, 2, P, 5)
     assert fraction_matrix(p3 + p5) == _entrywise(
         lambda a, b: a + b, fraction_matrix(p3), fraction_matrix(p5))
 
@@ -426,12 +424,11 @@ def test_realize_bound_edge(offset):
 
 @pytest.mark.parametrize("offset", [-1, 1])
 def test_matrix_partial_trace_bound_edge(offset):
-    # Entry (0, 0) of the partial trace at N = 2 sums two entries M,
-    # which is where the int64 bound N * max|num| < 2**63 sits.
+    # Entry (0, 0) of the partial trace at N = 2 sums the entries M at
+    # |00> and |01>, which is where the int64 bound N * max|num| < 2**63
+    # sits.
     M = 2 ** 62 + offset
-    rows = np.full((4, 4), M, dtype=object)
-    rows[0, 1] = M - 1
-    x = TensorOperator(2, 2, rows)
+    x = _weight_diagonal(2, 2, [M, M, M - 1, M])
     assert (2 * M < 2 ** 63) == (offset < 0)
     assert fraction_matrix(x.partial_trace()) == naive_matrix_partial_trace(
         fraction_matrix(x), 2)
@@ -440,7 +437,9 @@ def test_matrix_partial_trace_bound_edge(offset):
 def test_int64_minimum_input_is_widened():
     # -2**63 fits int64 but its magnitude does not: it is stored as a
     # Python integer, and every bound sees 2**63.
-    x = TensorOperator(1, 2, np.array([[-2 ** 63, 1], [0, 3]], dtype=np.int64))
+    num = np.identity(4, dtype=np.int64) * 3
+    num[0, 0], num[1, 2] = -2 ** 63, 1
+    x = TensorOperator(2, 2, num)
     fx = fraction_matrix(x)
     assert x.num.dtype == object and fx[0][0] == -2 ** 63
     assert fraction_matrix(x @ x) == naive_matmul(fx, fx)
@@ -451,14 +450,19 @@ def test_int64_minimum_input_is_widened():
 def wide_operators(draw):
     """(n, N, ops, scalar): two operators on (C^N)^(x n) with N^n <= 9,
     numerators and denominators up to 16, 2**26, 2**31 or 2**80 each, so
-    products take all three exact paths, and a scalar of either size."""
+    products take all three exact paths, and a scalar of either size.
+    The numerators are drawn for every entry and kept on the weight
+    blocks."""
     n, N = draw(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]))
     dim = N ** n
+    weight = tensor_rep.basis_table(n, N).weight
+    on_blocks = (weight[:, None] == weight[None, :]).ravel().tolist()
     ops = []
     for big in draw(st.lists(st.sampled_from([16, 2 ** 26, 2 ** 31, 2 ** 80]),
                              min_size=2, max_size=2)):
         num = draw(st.lists(st.integers(-big, big),
                             min_size=dim * dim, max_size=dim * dim))
+        num = [v if keep else 0 for v, keep in zip(num, on_blocks)]
         den = draw(st.integers(1, big))
         ops.append((TensorOperator(n, N, np.array(num, dtype=object)
                                    .reshape(dim, dim), den),
