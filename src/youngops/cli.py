@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import json
 import sys
+from math import prod
 from typing import IO, Sequence
 
 from .config import DEFAULT_MAX_N
@@ -95,21 +96,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
-    tableaux = enumerate_syt(args.n, args.max_n)
+    labelled = [(str(t), t.shape) for t in enumerate_syt(args.n, args.max_n)]
+    hooks = {s: s.hook_product() for s in set(s for _, s in labelled)}
     tables = []
     for N in args.N:
         if N < 1:
             raise ValueError(f"N must be positive, got {N}")
-        rows = []
-        total = 0
-        for t in tableaux:
-            shape = t.shape
-            f = int(shape.dimension_polynomial()(N))
-            hook = shape.hook_product()
-            dim = f // hook
-            total += dim
-            rows.append({"tableau": str(t), "f": f,
-                         "hook": hook, "dim": dim})
+        # f_T(N) = prod over cells (j, k) of (N + k - j), once per shape.
+        f = {s: prod(N + k - j for j, k in s.cells()) for s in hooks}
+        rows = [{"tableau": label, "f": f[s], "hook": hooks[s],
+                 "dim": f[s] // hooks[s]} for label, s in labelled]
+        total = sum(r["dim"] for r in rows)
         tables.append({"N": N, "rows": rows, "dim_sum": total,
                        "n_power": N ** args.n, "ok": total == N ** args.n})
     for table in tables:

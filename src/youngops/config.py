@@ -8,8 +8,9 @@ n! and tensor realizations like N^(2n).  There are three caps:
   so of every Young operator and every `verify` run.  It is fixed.
 - `DEFAULT_MAX_N` bounds tableau enumeration; `enumerate_syt(max_n=...)`
   and the `--max-n` flag of `tableaux` and `dims` raise it.
-- `DEFAULT_SIZE_CAP` bounds N**n for tensor realizations; the
-  `size_cap` keyword of `realize` and `permutation_matrix` raises it.
+- `DEFAULT_SIZE_CAP` bounds N**n, the dimension of (C^N)^(x n).  It is
+  fixed, and every tensor entry point meets it in `check_tensor_size`
+  before it allocates anything.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ DEFAULT_MAX_N = 7
 # table: 50 MB of int16 at n = 7, but 6.5 GB of int32 at n = 8.
 ALGEBRA_MAX_N = 7
 
-# Largest N**n for tensor realizations (243*16 headroom over N=3, n=5).
+# Largest N**n for tensor operators (243*16 headroom over N=3, n=5).
 DEFAULT_SIZE_CAP = 4096
 
 
@@ -46,3 +47,16 @@ def check_tableau_size(n: int, max_n: int | None = None) -> None:
         raise SizeLimitError(
             f"n={n} exceeds the tableau cap {cap}; "
             "raise it with max_n=... (CLI: --max-n)")
+
+
+def check_tensor_size(n: int, N: int) -> int:
+    """N**n, the dimension of (C^N)^(x n); reject n < 0, N < 1 and N**n
+    beyond DEFAULT_SIZE_CAP."""
+    if n < 0 or N < 1:
+        raise ValueError(f"need n >= 0 and N >= 1, got n={n}, N={N}")
+    dim = N ** n
+    if dim > DEFAULT_SIZE_CAP:
+        raise SizeLimitError(
+            f"N^n = {N}^{n} = {dim} exceeds the tensor cap "
+            f"{DEFAULT_SIZE_CAP}: operators are N^n x N^n matrices")
+    return dim

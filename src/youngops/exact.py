@@ -92,7 +92,13 @@ def _common_denominator(shape: int | tuple[int, ...],
 
 def _scalar(c) -> Fraction:
     """c as a Fraction of Python integers: exact scalars are the
-    numbers.Rational values, numpy integers included."""
+    numbers.Rational values, numpy integers included; anything else
+    raises TypeError.  The package's one scalar rule, shared with
+    `polynomial`; int and Fraction take a fast path."""
+    if type(c) is Fraction:
+        return c
+    if type(c) is int:
+        return Fraction(c)
     if not isinstance(c, Rational):
         raise TypeError(f"bad scalar type {type(c).__name__}")
     return Fraction(int(c.numerator), int(c.denominator))

@@ -3,21 +3,18 @@
 Used for trace polynomials in the tensor-space parameter N: taking the
 trace of a permutation operator on (C^N)^(x n) gives N**cycles, so traces
 of group-algebra elements are polynomials in N with Fraction coefficients.
+
+Coefficients, scalar operands and evaluation points follow the one
+scalar rule, `exact._scalar`: a `numbers.Rational`, else TypeError.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from itertools import zip_longest
+from numbers import Rational
+from typing import Iterable, Mapping
 
-Scalar = Union[int, Fraction]
-
-
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+from .exact import _scalar
 
 
 class Polynomial:
@@ -25,14 +22,14 @@ class Polynomial:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[Rational] = ()):
+        cs = [_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
     @classmethod
-    def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
+    def monomial(cls, degree: int, coeff: Rational = 1) -> "Polynomial":
         return cls([0] * degree + [coeff])
 
     @classmethod
@@ -54,7 +51,7 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self == Polynomial([other])
         return NotImplemented
 
@@ -64,33 +61,29 @@ class Polynomial:
             return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
-    def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: "Polynomial | Rational") -> "Polynomial":
+        if isinstance(other, Rational):
             other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for k, c in enumerate(b):
-            cs[k] += c
-        return Polynomial(cs)
+        return Polynomial([a + b for a, b in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self.coeffs])
 
-    def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        return self + (-other if isinstance(other, Polynomial) else -Fraction(other))
+    def __sub__(self, other: "Polynomial | Rational") -> "Polynomial":
+        return self + -other
 
-    def __rsub__(self, other: Scalar) -> "Polynomial":
+    def __rsub__(self, other: Rational) -> "Polynomial":
         return (-self) + other
 
-    def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
+    def __mul__(self, other: "Polynomial | Rational") -> "Polynomial":
+        if isinstance(other, Rational):
+            c = _scalar(other)
+            return Polynomial([a * c for a in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -105,15 +98,15 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Scalar) -> "Polynomial":
-        d = _as_fraction(other)
+    def __truediv__(self, other: Rational) -> "Polynomial":
+        d = _scalar(other)
         return Polynomial([c / d for c in self.coeffs])
 
-    def __call__(self, value: Scalar) -> Fraction:
+    def __call__(self, value: Rational) -> Fraction:
         """Evaluate at a concrete value (Horner)."""
-        acc = Fraction(0)
+        x, acc = _scalar(value), Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * value + c
+            acc = acc * x + c
         return acc
 
     def __repr__(self) -> str:
@@ -156,11 +149,5 @@ class Polynomial:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Polynomial":
-        raw = data["coeffs"]
-        if not raw:
-            return cls()
-        degree = max(int(k) for k in raw)
-        cs = [Fraction(0)] * (degree + 1)
-        for k, v in raw.items():
-            cs[int(k)] = Fraction(v)
-        return cls(cs)
+        raw = {int(k): Fraction(v) for k, v in data["coeffs"].items()}
+        return cls([raw.get(k, 0) for k in range(max(raw, default=-1) + 1)])

@@ -28,6 +28,10 @@ representable integer, through int64 below 2**63, and on Python
 integers past that.  `realize` and the partial trace carry int64 bounds
 of the same kind with an object fallback, so results are always exact.
 
+Size.  Every entry point reaches `basis_table(n, N)` first, and its
+construction applies `config.check_tensor_size`: so N^n beyond
+DEFAULT_SIZE_CAP raises SizeLimitError before anything is allocated.
+
 Basis order: a multi-index (a_1, ..., a_n) with digits in 0..N-1 maps
 to the integer whose base-N digits it is, slot 1 most significant.
 """
@@ -42,7 +46,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_SIZE_CAP, SizeLimitError
+from .config import check_tensor_size
 from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
                     _maxabs)
 from .permutations import Perm
@@ -70,25 +74,15 @@ def decode(index: int, N: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _check_size(n: int, N: int, size_cap: int | None) -> int:
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
-    dim = N ** n
-    if dim > cap:
-        raise SizeLimitError(
-            f"N^n = {N}^{n} = {dim} exceeds the size cap {cap}; "
-            "pass size_cap to override")
-    return dim
-
-
 class _BasisTable:
     """The basis of (C^N)^(x n) by flat index, and its weight blocks.
 
-    `digits[i]` is decode(i) and `place` the base-N place value of each
-    slot.  `weight[i]` is the index of basis vector i with its digits
-    sorted, which labels its digit multiset; the indices of one label
-    form a weight block.
+    Construction first applies the tensor size rule
+    (`config.check_tensor_size`); `dim` is N^n.  `digits[i]` is
+    decode(i) and `place` the base-N place value of each slot.
+    `weight[i]` is the index of basis vector i with its digits sorted,
+    which labels its digit multiset; the indices of one label form a
+    weight block.
 
     `groups` holds the weight blocks grouped by size: pairs (s, idx),
     sizes ascending, with idx of shape (k, s) listing k blocks of s
@@ -99,7 +93,7 @@ class _BasisTable:
     """
 
     def __init__(self, n: int, N: int):
-        dim = N ** n
+        self.dim = dim = check_tensor_size(n, N)
         self.digits = np.empty((dim, n), dtype=np.int64)
         idx = np.arange(dim)
         for k in range(n - 1, -1, -1):
@@ -151,19 +145,16 @@ class TensorOperator(_Exact):
     __slots__ = ("n", "N", "_blocks", "_max")
 
     def __init__(self, n: int, N: int, num: np.ndarray, den: int = 1):
-        if n < 0 or N < 1:
-            raise ValueError(f"need n >= 0 and N >= 1, got n={n}, N={N}")
-        dim = N ** n
-        if num.shape != (dim, dim):
-            raise ValueError(f"matrix shape {num.shape} != ({dim}, {dim})")
+        basis = basis_table(n, N)
+        if num.shape != (basis.dim,) * 2:
+            raise ValueError(f"matrix shape {num.shape} != {(basis.dim,) * 2}")
         if not isinstance(den, Integral):
             raise TypeError(f"denominator must be an integer, got {den!r}")
         if num.dtype.kind not in "biuO" or (num.dtype == object and not all(
                 isinstance(v, Integral) for v in num.flat)):
             raise TypeError("numerators must be integers")
-        weight = basis_table(n, N).weight
         rows, cols = np.nonzero(num)
-        off = np.flatnonzero(weight[rows] != weight[cols])
+        off = np.flatnonzero(basis.weight[rows] != basis.weight[cols])
         if off.size:
             raise ValueError(f"entry ({rows[off[0]]}, {cols[off[0]]}) lies "
                              "off the weight blocks")
@@ -182,7 +173,7 @@ class TensorOperator(_Exact):
         of its weight-block entries (see `_store`).  Every caller meets
         the rule:
           - realize: D(sigma) keeps weights;
-          - identity and zero: diagonal;
+          - identity and zero: diagonal, given as block entries;
           - sums, differences, negation and scaling: entrywise, so an
             entry that is zero in every operand stays zero;
           - products: see `_block_matmul`;
@@ -214,11 +205,14 @@ class TensorOperator(_Exact):
 
     @classmethod
     def identity(cls, n: int, N: int) -> "TensorOperator":
-        return cls._new(n, N, np.identity(N ** n, dtype=np.int64), 1)
+        basis = basis_table(n, N)
+        row, col = np.divmod(basis.entries, basis.dim)
+        return cls._new(n, N, (row == col).astype(np.int64), 1)
 
     @classmethod
     def zero(cls, n: int, N: int) -> "TensorOperator":
-        return cls._new(n, N, np.zeros((N ** n, N ** n), dtype=np.int64), 1)
+        entries = basis_table(n, N).entries
+        return cls._new(n, N, np.zeros(entries.size, dtype=np.int64), 1)
 
     # -- structure ------------------------------------------------------------
 
@@ -290,8 +284,9 @@ class TensorOperator(_Exact):
     @classmethod
     def from_dict(cls, data: Mapping) -> "TensorOperator":
         n, N = int(data["n"]), int(data["N"])
+        dim = basis_table(n, N).dim
         entries = [((r, c), Fraction(s)) for r, c, s in data["entries"]]
-        return cls(n, N, *_common_denominator((N ** n, N ** n), entries))
+        return cls(n, N, *_common_denominator((dim, dim), entries))
 
 
 def _block_matmul(basis: _BasisTable, x: np.ndarray, y: np.ndarray,
@@ -366,19 +361,20 @@ def _integer_rank(matrix: np.ndarray) -> int:
     return rank
 
 
-def realize(a: AlgebraElement, N: int, *, size_cap: int | None = None) -> TensorOperator:
+def realize(a: AlgebraElement, N: int) -> TensorOperator:
     """Represent an AlgebraElement as an exact matrix on (C^N)^(x n).
 
     D(sigma) moves the vector in slot k to slot sigma(k); concretely the
     basis column encode(b) maps to the row whose multi-index a satisfies
     a[sigma(k)] = b[k].  The partial-trace pair (A, B) of an element
-    realizes at a concrete N as realize(A.scale(N) + B, N).
+    realizes at a concrete N as realize(A.scale(N) + B, N).  N^n beyond
+    DEFAULT_SIZE_CAP raises SizeLimitError before anything is allocated.
     """
     n = a.n
-    dim = _check_size(n, N, size_cap)
+    basis = basis_table(n, N)
+    dim = basis.dim
     table = sn_table(n)
     inverses = table.images[table.inverse]
-    basis = basis_table(n, N)
     cols = np.arange(dim)
     # D(sigma) has one 1 per column, so each entry sums at most one
     # coefficient per permutation: int64 while sum |a_sigma| < 2**63.
@@ -390,9 +386,9 @@ def realize(a: AlgebraElement, N: int, *, size_cap: int | None = None) -> Tensor
     return TensorOperator._new(n, N, num, a.den)
 
 
-def permutation_matrix(p: Perm, N: int, *, size_cap: int | None = None) -> TensorOperator:
+def permutation_matrix(p: Perm, N: int) -> TensorOperator:
     """D(p) itself: a 0/1 permutation matrix on (C^N)^(x n)."""
-    return realize(AlgebraElement.from_perm(p), N, size_cap=size_cap)
+    return realize(AlgebraElement.from_perm(p), N)
 
 
 # -- batch orthogonality checking ------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .config import DEFAULT_SIZE_CAP, SizeLimitError, check_algebra_size
+from .config import check_algebra_size, check_tensor_size
 from .sn_algebra import (
     AlgebraElement,
     embed_element,
@@ -336,7 +336,8 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
     """Run the requested suites (default: all applicable, minus the
     deliberately failing conventional-transversality scan) and return a
     fully sorted report.  Size caps are checked before any work: n
-    against ALGEBRA_MAX_N and, with the tensor suite, each N**n."""
+    against ALGEBRA_MAX_N and, with the tensor suite, each N**n by
+    `check_tensor_size`."""
     check_algebra_size(n)
     if suites is None:
         chosen = default_suites(n)
@@ -350,10 +351,8 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
     for N in dims:
         if N < 1:
             raise ValueError(f"N must be positive, got {N}")
-        if "tensor" in chosen and N ** n > DEFAULT_SIZE_CAP:
-            raise SizeLimitError(
-                f"tensor suite: N^n = {N}^{n} = {N ** n} exceeds the size "
-                f"cap {DEFAULT_SIZE_CAP}; use a smaller N or other suites")
+        if "tensor" in chosen:
+            check_tensor_size(n, N)
     ctx = _Context(n, dims)
     report = VerificationReport(n=n, tensor_dims=dims)
     for name in sorted(set(chosen)):

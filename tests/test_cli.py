@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from youngops import verify
+from youngops import enumerate_syt, verify
 from youngops.cli import main
 
 
@@ -89,6 +89,22 @@ def test_dims_json_out(capsys, tmp_path):
     table = data["tables"][0]
     assert table["N"] == 1 and table["ok"] is True
     assert [r["dim"] for r in table["rows"]] == [1, 0]
+
+
+def test_dims_rows_match_the_dimension_polynomial(capsys, tmp_path):
+    # The table takes f_T(N) as a product over cells, once per shape;
+    # the expanded polynomial, evaluated per tableau, is the reference.
+    path = tmp_path / "dims.json"
+    code, _, _ = run_cli(capsys, "dims", "--n", "5", "--N", "1", "--N", "3",
+                         "--N", "6", "--json-out", str(path))
+    assert code == 0
+    for table in json.loads(path.read_text())["tables"]:
+        N = table["N"]
+        for t, row in zip(enumerate_syt(5), table["rows"], strict=True):
+            f = t.shape.dimension_polynomial()(N)
+            assert row == {"tableau": str(t), "f": f,
+                           "hook": t.shape.hook_product(),
+                           "dim": f / t.shape.hook_product()}
 
 
 def test_verify_passes_small(capsys):

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from youngops import Polynomial
@@ -86,3 +88,33 @@ def test_constant_hashes_like_its_fraction():
     assert Polynomial([3]) == 3 and hash(Polynomial([3])) == hash(3)
     assert hash(Polynomial([Fraction(1, 2)])) == hash(Fraction(1, 2))
     assert hash(Polynomial.zero()) == hash(0)
+
+
+def test_numpy_integers_are_exact_scalars():
+    N = Polynomial.monomial(1)
+    two = np.int64(2)
+    p = Polynomial([two, two])
+    assert p == Polynomial([2, 2])
+    assert all(type(c.numerator) is int for c in p.coeffs)
+    assert N / two == Polynomial([0, Fraction(1, 2)])
+    assert N * two == N - np.int64(0) + N
+    assert Polynomial([3]) == np.int64(3)
+    value = (N * N)(two)
+    assert value == 4 and type(value) is Fraction
+    assert type(value.numerator) is int
+
+
+INEXACT = {
+    "coefficient": lambda p: Polynomial([0.5]),
+    "evaluation": lambda p: p(0.5),
+    "add": lambda p: p + 0.5,
+    "sub": lambda p: p - 0.5,
+    "mul": lambda p: p * 0.5,
+    "div": lambda p: p / 0.5,
+}
+
+
+@pytest.mark.parametrize("op", sorted(INEXACT))
+def test_inexact_scalars_are_refused(op):
+    with pytest.raises(TypeError):
+        INEXACT[op](Polynomial([1, 2]))

@@ -22,6 +22,7 @@ from youngops import (
     young_operator,
 )
 from youngops import tensor_rep
+from youngops.config import check_tensor_size
 from oracles import (
     element_strategy,
     fraction_matrix,
@@ -144,10 +145,46 @@ def test_rank_equals_dimension_formula():
 def test_realize_rejects_oversized_space():
     with pytest.raises(SizeLimitError):
         realize(AlgebraElement.one(6), 5)  # 5^6 > 4096
-    with pytest.raises(SizeLimitError):
-        realize(AlgebraElement.one(2), 2, size_cap=3)
     with pytest.raises(ValueError):
         realize(AlgebraElement.one(2), 0)
+
+
+def test_tensor_size_rule_edges():
+    assert check_tensor_size(1, 4096) == check_tensor_size(12, 2) == 4096
+    with pytest.raises(SizeLimitError):
+        check_tensor_size(1, 4097)
+    for n, N in ((1, 0), (-1, 2)):
+        with pytest.raises(ValueError) as info:
+            check_tensor_size(n, N)
+        assert not isinstance(info.value, SizeLimitError)
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached before the size check")
+
+
+# N^n = 4097, one past the cap.  Every entry point must refuse it before
+# tensor_rep touches numpy or lays out an N^n x N^n array.
+OVERSIZED = {
+    "constructor": lambda: TensorOperator(1, 4097, np.zeros((1, 1), int)),
+    "from_dict": lambda: TensorOperator.from_dict(
+        {"n": 1, "N": 4097, "entries": []}),
+    "identity": lambda: TensorOperator.identity(1, 4097),
+    "zero": lambda: TensorOperator.zero(1, 4097),
+    "realize": lambda: realize(AlgebraElement.one(1), 4097),
+    "permutation_matrix": lambda: permutation_matrix((1,), 4097),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OVERSIZED))
+def test_every_tensor_entry_point_refuses_past_the_cap(monkeypatch, entry):
+    def no_dense(*args):
+        raise AssertionError("dense array built before the size check")
+    monkeypatch.setattr(tensor_rep, "_common_denominator", no_dense)
+    monkeypatch.setattr(tensor_rep, "np", _NoArrays())
+    with pytest.raises(SizeLimitError):
+        OVERSIZED[entry]()
 
 
 def test_realize_partial_trace_pair():
