@@ -24,12 +24,15 @@ print(f"realized {len(mats)} projectors as {N**n} x {N**n} exact matrices")
 print()
 
 # One orthogonality report covers symmetry of each matrix, all pairwise
-# products, and the resolution of the identity.
+# products, and the resolution of the identity.  It is a list of the
+# CheckResult records that `youngops verify` prints (an API change: it
+# used to be a report type of its own); a failing check's witness names
+# the first wrong entry.
 report = orthogonality_report(mats, names)
-for check in report.checks:
+for check in report:
     status = "ok" if check.passed else "FAIL"
     print(f"  [{status}] {check.check_id}")
-assert report.passed
+assert all(check.passed for check in report)
 print()
 
 # Trace and rank agree, and both equal the predicted dimension.

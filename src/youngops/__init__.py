@@ -30,14 +30,12 @@ from .sn_algebra import (
     inequivalence_check,
     primitivity_check,
     symmetrizer,
-    symmetrizer_recursion_check,
     young_operator,
 )
 from .tensor_rep import (
     TensorOperator,
     decode,
     encode,
-    orthogonality_report,
     permutation_matrix,
     realize,
 )
@@ -45,6 +43,7 @@ from .verify import (
     CheckResult,
     SuiteReport,
     VerificationReport,
+    orthogonality_report,
     run_verification,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "inequivalence_check",
     "primitivity_check",
     "symmetrizer",
-    "symmetrizer_recursion_check",
     "young_operator",
     "TensorOperator",
     "decode",

@@ -28,6 +28,7 @@ from .sn_algebra import hermitian_young, young_operator
 from .tableaux import YoungTableau, enumerate_syt
 from .verify import (
     DEFAULT_TENSOR_DIMS,
+    OPT_IN_SUITES,
     SUITE_NAMES,
     VerificationReport,
     run_verification,
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", default=None,
                    metavar="NAME",
                    help="suite to run (repeatable; default: all applicable "
-                        "except conventional-transversality); known: "
+                        f"except {', '.join(OPT_IN_SUITES)}); known: "
                         + ", ".join(SUITE_NAMES))
     add_common(p)
     p.set_defaults(func=_cmd_verify)

@@ -12,9 +12,10 @@ that -- so results are always exact.
 `_Exact` is the one value type over that storage.  A subclass supplies
 its index space and its canonical constructor, and inherits what acts
 elementwise on `num`: sums, differences, negation, scaling by a
-`numbers.Rational` (any other scalar raises TypeError), and equality,
-hashing and truth on the canonical form.  Products, traces and views
-stay with the subclass.
+`numbers.Rational` (any other scalar raises TypeError), equality,
+hashing and truth on the canonical form, and one witness of
+inequality, `first_difference`.  Products, traces and views stay with
+the subclass.
 """
 from __future__ import annotations
 
@@ -108,9 +109,10 @@ class _Exact:
     """num / den over an index space, canonical and immutable.
 
     A subclass supplies `_space()`, the tuple that fixes its index
-    space, and the classmethod `_new(*space, num, den)`, the one
+    space, the classmethod `_new(*space, num, den)`, the one
     constructor: it resets the subclass's caches, calls `_store`, and
-    owns `num` afterwards.
+    owns `num` afterwards; and `_difference_at(other, i, diff)`, which
+    words a witness that self - other = diff != 0 at flat index i.
     """
 
     __slots__ = ("num", "den")
@@ -182,3 +184,16 @@ class _Exact:
 
     def is_zero(self) -> bool:
         return not self.num.any()
+
+    def first_difference(self, other: "_Exact") -> str:
+        """The empty string when self == other; otherwise a witness
+        naming the first index, in canonical (flat) order, where they
+        differ, as `_difference_at` words it.  Across spaces raises
+        ValueError."""
+        diff = self - other
+        nonzero = np.flatnonzero(diff.num)
+        if not nonzero.size:
+            return ""
+        i = int(nonzero[0])
+        return self._difference_at(other, i,
+                                   Fraction(int(diff.num.flat[i]), diff.den))

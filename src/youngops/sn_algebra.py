@@ -46,7 +46,6 @@ from .permutations import (
     cycle_count,
     cycle_type,
     identity,
-    transposition,
 )
 from .polynomial import Polynomial
 from .tableaux import YoungTableau
@@ -56,7 +55,6 @@ __all__ = [
     "embed_element",
     "symmetrizer",
     "antisymmetrizer",
-    "symmetrizer_recursion_check",
     "young_operator",
     "hermitian_young",
     "primitivity_check",
@@ -288,6 +286,11 @@ class AlgebraElement(_Exact):
     def __len__(self) -> int:
         return int(np.count_nonzero(self.num))
 
+    def _difference_at(self, other: "AlgebraElement", i: int,
+                       diff: Fraction) -> str:
+        p = sn_table(self.n).perms[i]
+        return f"first differing term {p}: difference {diff}"
+
     # -- the algebra product ----------------------------------------------
 
     def __mul__(self, other: "AlgebraElement | Scalar") -> "AlgebraElement":
@@ -404,29 +407,6 @@ def symmetrizer(slots: Iterable[int], n: int) -> AlgebraElement:
 def antisymmetrizer(slots: Iterable[int], n: int) -> AlgebraElement:
     """(1/k!) signed sum of all permutations of the given slots."""
     return _subset_sum(slots, n, signed=True)
-
-
-def symmetrizer_recursion_check(k: int) -> bool:
-    """Exact check of the symmetrizer recursions over S_k:
-
-        S(1..k) = (1/k) S(2..k) + ((k-1)/k) S(2..k) t12 S(2..k)
-        A(1..k) = (1/k) A(2..k) - ((k-1)/k) A(2..k) t12 A(2..k)
-
-    Returns True iff both hold as AlgebraElement identities.
-    """
-    if k < 2:
-        raise ValueError(f"recursion needs k >= 2, got {k}")
-    rest = range(2, k + 1)
-    t12 = AlgebraElement.from_perm(transposition(k, 1, 2))
-    s_rest = symmetrizer(rest, k)
-    sym_ok = symmetrizer(range(1, k + 1), k) == (
-        s_rest / k + Fraction(k - 1, k) * (s_rest * t12 * s_rest)
-    )
-    a_rest = antisymmetrizer(rest, k)
-    anti_ok = antisymmetrizer(range(1, k + 1), k) == (
-        a_rest / k - Fraction(k - 1, k) * (a_rest * t12 * a_rest)
-    )
-    return sym_ok and anti_ok
 
 
 # -- Young operators ----------------------------------------------------------

@@ -34,15 +34,17 @@ DEFAULT_SIZE_CAP raises SizeLimitError before anything is allocated.
 
 Basis order: a multi-index (a_1, ..., a_n) with digits in 0..N-1 maps
 to the integer whose base-N digits it is, slot 1 most significant.
+
+`orthogonality_report`, which checks a family of operators, has moved
+to `verify` and returns `verify.CheckResult`s (an API change).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
 from numbers import Integral
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -226,6 +228,12 @@ class TensorOperator(_Exact):
     def is_symmetric(self) -> bool:
         return bool((self.num == self.num.T).all())
 
+    def _difference_at(self, other: "TensorOperator", i: int,
+                       diff: Fraction) -> str:
+        r, c = divmod(i, self.dim)
+        return (f"entry ({r},{c}): got {self.entry(r, c)}, "
+                f"want {other.entry(r, c)}")
+
     def __repr__(self) -> str:
         return (f"TensorOperator(n={self.n}, N={self.N}, "
                 f"den={self.den}, nnz={int(np.count_nonzero(self.num))})")
@@ -389,77 +397,3 @@ def realize(a: AlgebraElement, N: int) -> TensorOperator:
 def permutation_matrix(p: Perm, N: int) -> TensorOperator:
     """D(p) itself: a 0/1 permutation matrix on (C^N)^(x n)."""
     return realize(AlgebraElement.from_perm(p), N)
-
-
-# -- batch orthogonality checking ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TensorCheck:
-    check_id: str
-    passed: bool
-    witness: str = ""
-
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    checks: tuple[TensorCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[TensorCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
-def _first_entry_mismatch(got: TensorOperator, want: TensorOperator) -> str:
-    diff = got - want
-    rows, cols = np.nonzero(diff.num)
-    if len(rows) == 0:
-        return ""
-    r, c = int(rows[0]), int(cols[0])
-    return (f"entry ({r},{c}): got {got.entry(r, c)}, "
-            f"want {want.entry(r, c)}")
-
-
-def orthogonality_report(ops: Sequence[TensorOperator],
-                         labels: Iterable[str] | None = None) -> OrthogonalityReport:
-    """Check that a family of operators forms a complete orthogonal set
-    of symmetric projectors:
-
-      * each operator equals its transpose,
-      * M_i M_j = delta_ij M_i for every ordered pair,
-      * the family sums to the identity.
-
-    Every check reports pass/fail plus the first violating entry.
-    """
-    if not ops:
-        raise ValueError("need at least one operator")
-    first = ops[0]
-    for other in ops[1:]:
-        first._check_space(other)
-    names = list(labels) if labels is not None else [str(i) for i in range(len(ops))]
-    if len(names) != len(ops):
-        raise ValueError("labels length must match ops length")
-    checks: list[TensorCheck] = []
-    for name, op in zip(names, ops):
-        ok = op.is_symmetric()
-        witness = "" if ok else _first_entry_mismatch(op, op.transpose())
-        checks.append(TensorCheck(f"symmetric:{name}", ok, witness))
-    zero = TensorOperator.zero(first.n, first.N)
-    for ni, mi in zip(names, ops):
-        for nj, mj in zip(names, ops):
-            want = mi if ni == nj else zero
-            got = mi @ mj
-            ok = got == want
-            witness = "" if ok else _first_entry_mismatch(got, want)
-            checks.append(TensorCheck(f"product:{ni}*{nj}", ok, witness))
-    total = ops[0]
-    for op in ops[1:]:
-        total = total + op
-    ident = TensorOperator.identity(first.n, first.N)
-    ok = total == ident
-    witness = "" if ok else _first_entry_mismatch(total, ident)
-    checks.append(TensorCheck("sum-to-identity", ok, witness))
-    return OrthogonalityReport(tuple(checks))

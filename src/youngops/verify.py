@@ -12,9 +12,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .config import check_algebra_size, check_tensor_size
+from .exact import _Exact
 from .sn_algebra import (
     AlgebraElement,
     embed_element,
@@ -22,7 +23,7 @@ from .sn_algebra import (
     young_operator,
 )
 from .tableaux import YoungTableau, enumerate_syt
-from .tensor_rep import orthogonality_report, realize
+from .tensor_rep import TensorOperator, realize
 
 DEFAULT_TENSOR_DIMS = (2, 3)
 
@@ -113,19 +114,11 @@ class _Context:
         self.tableaux = enumerate_syt(n)
 
 
-def _diff_witness(lhs: AlgebraElement, rhs: AlgebraElement) -> str:
-    diff = lhs - rhs
-    if diff.is_zero():
-        return ""
-    p, c = diff.sorted_terms()[0]
-    return f"first differing term {p}: difference {c}"
-
-
 def _equality_check(check_id: str, anchor: str,
-                    lhs: AlgebraElement, rhs: AlgebraElement) -> CheckResult:
+                    lhs: _Exact, rhs: _Exact) -> CheckResult:
     ok = lhs == rhs
     return CheckResult(check_id, anchor, ok,
-                       "" if ok else _diff_witness(lhs, rhs))
+                       "" if ok else lhs.first_difference(rhs))
 
 
 # -- individual suites --------------------------------------------------------
@@ -221,10 +214,9 @@ def _suite_littlewood(ctx: _Context) -> list[CheckResult]:
     a = young_operator(YoungTableau.from_string("135/24"))
     b = young_operator(YoungTableau.from_string("123/45"))
     out = []
-    ab = a * b
-    out.append(CheckResult(
-        "littlewood:zero-order", "Y_{135/24} Y_{123/45} = 0", ab.is_zero(),
-        "" if ab.is_zero() else _diff_witness(ab, AlgebraElement.zero(5))))
+    out.append(_equality_check(
+        "littlewood:zero-order", "Y_{135/24} Y_{123/45} = 0",
+        a * b, AlgebraElement.zero(5)))
     ba = b * a
     out.append(CheckResult(
         "littlewood:nonzero-order", "Y_{123/45} Y_{135/24} != 0",
@@ -260,30 +252,72 @@ def _suite_appendix_shortcut(ctx: _Context) -> list[CheckResult]:
     return out
 
 
+_ORTHOGONALITY = "D(P_T) symmetric; D(P_T) D(P_U) = delta_TU D(P_T); sum = 1"
+
+
+def orthogonality_report(ops: Sequence[TensorOperator],
+                         labels: Sequence[str] | None = None,
+                         prefix: str = "") -> list[CheckResult]:
+    """Check that a family of operators forms a complete orthogonal set
+    of symmetric projectors:
+
+      * each operator equals its transpose,
+      * M_i M_j = delta_ij M_i for every ordered pair,
+      * the family sums to the identity.
+
+    Check ids are `prefix` followed by "symmetric:<label>",
+    "product:<label>*<label>" or "sum-to-identity"; labels default to
+    the positions and must be distinct.  A failing check's witness is
+    its first wrong entry.
+    """
+    if not ops:
+        raise ValueError("need at least one operator")
+    first = ops[0]
+    for other in ops[1:]:
+        first._check_space(other)
+    names = ([str(i) for i in range(len(ops))] if labels is None
+             else list(labels))
+    if len(names) != len(ops):
+        raise ValueError("labels length must match ops length")
+    if len(set(names)) != len(names):
+        raise ValueError("labels must be distinct")
+    checks = []
+    for name, op in zip(names, ops):
+        ok = op.is_symmetric()
+        checks.append(CheckResult(
+            f"{prefix}symmetric:{name}", _ORTHOGONALITY, ok,
+            "" if ok else op.first_difference(op.transpose())))
+    zero = TensorOperator.zero(first.n, first.N)
+    for i, (ni, mi) in enumerate(zip(names, ops)):
+        for j, (nj, mj) in enumerate(zip(names, ops)):
+            checks.append(_equality_check(f"{prefix}product:{ni}*{nj}",
+                                          _ORTHOGONALITY, mi @ mj,
+                                          mi if i == j else zero))
+    checks.append(_equality_check(
+        f"{prefix}sum-to-identity", _ORTHOGONALITY, sum(ops[1:], first),
+        TensorOperator.identity(first.n, first.N)))
+    return checks
+
+
 def _suite_tensor(ctx: _Context) -> list[CheckResult]:
     out = []
+    names = [t.to_string() for t in ctx.tableaux]
     for N in ctx.tensor_dims:
-        prefix = f"tensor:N={N}"
-        names = [t.to_string() for t in ctx.tableaux]
+        prefix = f"tensor:N={N}:"
         mats = [realize(hermitian_young(t), N) for t in ctx.tableaux]
-        rep = orthogonality_report(mats, names)
-        for c in rep.checks:
-            out.append(CheckResult(
-                f"{prefix}:{c.check_id}",
-                "D(P_T) symmetric; D(P_T) D(P_U) = delta_TU D(P_T); sum = 1",
-                c.passed, c.witness))
+        out.extend(orthogonality_report(mats, names, prefix))
         for t, name, mat in zip(ctx.tableaux, names, mats):
             shape = t.shape
             want = Fraction(shape.dimension_polynomial()(N),
                             shape.hook_product())
             got_trace = mat.trace()
             out.append(CheckResult(
-                f"{prefix}:trace:{name}", "tr D(P_T) = f_T(N)/|T|",
+                f"{prefix}trace:{name}", "tr D(P_T) = f_T(N)/|T|",
                 got_trace == want,
                 "" if got_trace == want else f"got {got_trace}, want {want}"))
             got_rank = mat.rank()
             out.append(CheckResult(
-                f"{prefix}:rank:{name}", "rank D(P_T) = f_T(N)/|T|",
+                f"{prefix}rank:{name}", "rank D(P_T) = f_T(N)/|T|",
                 got_rank == want,
                 "" if got_rank == want else f"got {got_rank}, want {want}"))
         if ctx.n >= 2:
@@ -293,51 +327,57 @@ def _suite_tensor(ctx: _Context) -> list[CheckResult]:
                         ("Y", y, realize(y, N)),
                         ("P", hermitian_young(t), p_mat)):
                     looped, spliced = op.partial_trace()
-                    left = op_mat.partial_trace()
-                    right = realize(looped.scale(N) + spliced, N)
-                    ok = left == right
-                    out.append(CheckResult(
-                        f"{prefix}:ptrace:{kind}:{name}",
-                        "tr'(D(A)) = D(tr' A)", ok,
-                        "" if ok else "matrix and algebra partial traces differ"))
+                    out.append(_equality_check(
+                        f"{prefix}ptrace:{kind}:{name}",
+                        "tr'(D(A)) = D(tr' A)", op_mat.partial_trace(),
+                        realize(looped.scale(N) + spliced, N)))
     return out
 
 
 _SuiteFn = Callable[[_Context], "list[CheckResult]"]
 
-# name -> (runner, predicate on n for applicability)
-_SUITES: dict[str, tuple[_SuiteFn, Callable[[int], bool]]] = {
-    "idempotency": (_suite_idempotency, lambda n: True),
-    "conventional-transversality": (_suite_conventional_transversality,
-                                    lambda n: True),
-    "transversality": (_suite_transversality, lambda n: True),
-    "hermiticity": (_suite_hermiticity, lambda n: True),
-    "completeness": (_suite_completeness, lambda n: True),
-    "traces": (_suite_traces, lambda n: True),
-    "partial-trace": (_suite_partial_trace, lambda n: n >= 2),
-    "littlewood": (_suite_littlewood, lambda n: n == 5),
-    "appendix-shortcut": (_suite_appendix_shortcut, lambda n: n == 5),
-    "tensor": (_suite_tensor, lambda n: True),
+
+class _Suite(NamedTuple):
+    run: _SuiteFn
+    applies: Callable[[int], bool] = lambda n: True
+    default: bool = True  # runs when no suite is named
+
+
+# A default run is expected to pass at every n, so a suite that fails
+# by design is opt-in: conventional-transversality documents the
+# classical defect at n = 5.
+_SUITES: dict[str, _Suite] = {
+    "idempotency": _Suite(_suite_idempotency),
+    "conventional-transversality": _Suite(
+        _suite_conventional_transversality, default=False),
+    "transversality": _Suite(_suite_transversality),
+    "hermiticity": _Suite(_suite_hermiticity),
+    "completeness": _Suite(_suite_completeness),
+    "traces": _Suite(_suite_traces),
+    "partial-trace": _Suite(_suite_partial_trace, lambda n: n >= 2),
+    "littlewood": _Suite(_suite_littlewood, lambda n: n == 5),
+    "appendix-shortcut": _Suite(_suite_appendix_shortcut, lambda n: n == 5),
+    "tensor": _Suite(_suite_tensor),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
+OPT_IN_SUITES = tuple(name for name in SUITE_NAMES
+                      if not _SUITES[name].default)
 
-# The default run covers every suite that proves something at this n,
-# except the deliberately failing conventional-transversality scan
-# (which documents the classical defect at n = 5 and must be opted
-# into), so that a full default run is expected to pass at every n.
+
 def default_suites(n: int) -> list[str]:
-    return [name for name in sorted(_SUITES)
-            if name != "conventional-transversality" and _SUITES[name][1](n)]
+    """The suites that run when none is named: every default suite that
+    applies at n."""
+    return [name for name in SUITE_NAMES
+            if _SUITES[name].default and _SUITES[name].applies(n)]
 
 
 def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
                      suites: Sequence[str] | None = None) -> VerificationReport:
-    """Run the requested suites (default: all applicable, minus the
-    deliberately failing conventional-transversality scan) and return a
-    fully sorted report.  Size caps are checked before any work: n
-    against ALGEBRA_MAX_N and, with the tensor suite, each N**n by
-    `check_tensor_size`."""
+    """Run the requested suites (default: `default_suites(n)`) and
+    return a fully sorted report.  Size caps are checked before any
+    work: n against ALGEBRA_MAX_N and, with the tensor suite, each N**n
+    by `check_tensor_size`."""
     check_algebra_size(n)
     if suites is None:
         chosen = default_suites(n)
@@ -356,10 +396,10 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
     ctx = _Context(n, dims)
     report = VerificationReport(n=n, tensor_dims=dims)
     for name in sorted(set(chosen)):
-        runner, applies = _SUITES[name]
+        suite = _SUITES[name]
         start = time.perf_counter()
-        if applies(n):
-            checks = runner(ctx)
+        if suite.applies(n):
+            checks = suite.run(ctx)
         else:
             checks = [CheckResult(f"{name}:skipped", "(not applicable)", True,
                                   f"suite not defined at n={n}")]

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations as it_permutations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from youngops import (
@@ -88,29 +89,53 @@ def naive_partial_trace(a):
 
 
 @cache
-def _right_translates(e):
-    """e*sigma for each of the n! permutations sigma, kept per element,
-    since the scans below pair one left factor with many right ones."""
-    return tuple(e * AlgebraElement.from_perm(p)
-                 for p in it_permutations(range(1, e.n + 1)))
+def _regular_gathers(n):
+    """Index maps of the regular representation of S_n, built from the
+    one-line compositions alone: column j of L(a) = a.num[left[:, j]]
+    holds the numerators of a sigma_j, and column j of
+    R(b) = b.num[right[:, j]] those of sigma_j b.  Permutations are
+    numbered in lexicographic order of one-line form, which is checked
+    against the order of `num`."""
+    perms = list(it_permutations(range(1, n + 1)))
+    rank = {p: i for i, p in enumerate(perms)}
+    for i, p in enumerate(perms):
+        assert np.flatnonzero(AlgebraElement.from_perm(p).num).tolist() == [i]
+    # comp[i, j] = rank of sigma_i sigma_j, sigma_j acting first
+    comp = np.array([[rank[tuple(p[x - 1] for x in q)] for q in perms]
+                     for p in perms])
+    index = np.arange(len(perms))
+    left, right = np.empty_like(comp), np.empty_like(comp)
+    left[comp, index] = index[:, None]     # a_i sigma_i sigma_j
+    right[comp.T, index] = index[:, None]  # sigma_j b_i sigma_i
+    return left, right
+
+
+def _sandwiches(e1, e2):
+    """Integer matrix whose column j is e1 sigma_j e2 times
+    e1.den * e2.den: the product L(e1) R(e2) of regular representations,
+    since column j of R(e2) is sigma_j e2.  It runs in float64 under the
+    asserted bound max|L| * max|R| * n!, which every partial sum obeys,
+    so it is exact."""
+    left, right = _regular_gathers(e1.n)
+    lhs, rhs = e1.num[left], e2.num[right]
+    bound = int(abs(lhs).max()) * int(abs(rhs).max()) * len(left)
+    assert bound < 2 ** 53, bound
+    return (lhs.astype(float) @ rhs.astype(float)).astype(np.int64)
 
 
 def naive_primitive(e):
     """True iff e*sigma*e is a scalar multiple of the nonzero e for each
     of the n! permutations sigma, tested at one point p0 of e's support:
     x = c e exactly when x e(p0) = e x(p0)."""
-    p0 = next(iter(e.terms))
-    for translate in _right_translates(e):
-        x = translate * e
-        if x.scale(e.coefficient(p0)) != e.scale(x.coefficient(p0)):
-            return False
-    return True
+    x = _sandwiches(e, e).astype(object)
+    num = e.num.astype(object)
+    p0 = np.flatnonzero(num)[0]
+    return bool((x * num[p0] == np.outer(num, x[p0])).all())
 
 
 def naive_inequivalent(e1, e2):
     """True iff e1*sigma*e2 = 0 for each of the n! permutations sigma."""
-    return all((translate * e2).is_zero()
-               for translate in _right_translates(e1))
+    return not _sandwiches(e1, e2).any()
 
 
 def fraction_matrix(op):

@@ -20,7 +20,7 @@ from youngops import (
     inequivalence_check,
     primitivity_check,
     symmetrizer,
-    symmetrizer_recursion_check,
+    transposition,
     young_operator,
 )
 from oracles import (
@@ -271,10 +271,15 @@ def test_subset_sums_match_enumeration(n):
 
 
 def test_symmetrizer_recursion():
+    # S(1..k) = (1/k) S(2..k) + ((k-1)/k) S(2..k) t12 S(2..k), and the
+    # same for A(1..k) with the second term negated
     for k in (2, 3, 4):
-        assert symmetrizer_recursion_check(k)
-    with pytest.raises(ValueError):
-        symmetrizer_recursion_check(1)
+        rest = range(2, k + 1)
+        t12 = AlgebraElement.from_perm(transposition(k, 1, 2))
+        for build, sign in ((symmetrizer, 1), (antisymmetrizer, -1)):
+            r = build(rest, k)
+            assert build(range(1, k + 1), k) == (
+                r / k + F(sign * (k - 1), k) * (r * t12 * r))
 
 
 # -- Young operators -----------------------------------------------------------

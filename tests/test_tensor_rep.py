@@ -596,24 +596,36 @@ def test_report_passes_for_hermitian_family():
     ts = enumerate_syt(3)
     mats = [realize(hermitian_young(t), 3) for t in ts]
     rep = orthogonality_report(mats, [t.to_string() for t in ts])
-    assert rep.passed
-    assert not rep.failures()
+    assert all(c.passed and not c.witness for c in rep)
+    assert len(rep) == 4 + 4 * 4 + 1
     assert sorted(int(m.trace()) for m in mats) == [1, 8, 8, 10]
 
 
 def test_report_flags_non_symmetric_conventional_operators():
     mats = [realize(young_operator(T(s)), 3) for s in ("12/3", "13/2")]
-    rep = orthogonality_report(mats, ["12/3", "13/2"])
-    failed = {c.check_id for c in rep.failures()}
-    assert "symmetric:12/3" in failed and "symmetric:13/2" in failed
-    for c in rep.failures():
-        if c.check_id.startswith("symmetric:"):
-            assert "entry" in c.witness
+    rep = orthogonality_report(mats, ["12/3", "13/2"], prefix="tensor:N=3:")
+    failures = [c for c in rep if not c.passed]
+    failed = {c.check_id for c in failures}
+    assert {"tensor:N=3:symmetric:12/3", "tensor:N=3:symmetric:13/2"} <= failed
+    for c in failures:
+        assert c.witness.startswith("entry (")
 
 
 def test_report_single_identity_passes():
     rep = orthogonality_report([TensorOperator.identity(2, 2)])
-    assert rep.passed
+    assert [(c.check_id, c.passed) for c in rep] == [
+        ("symmetric:0", True), ("product:0*0", True),
+        ("sum-to-identity", True)]
+
+
+def test_report_decides_products_by_position():
+    # I I = I, so the off-diagonal products must fail whatever the labels
+    ident = TensorOperator.identity(2, 2)
+    rep = orthogonality_report([ident, ident])
+    assert {c.check_id for c in rep if not c.passed} == {
+        "product:0*1", "product:1*0", "sum-to-identity"}
+    with pytest.raises(ValueError, match="distinct"):
+        orthogonality_report([ident, ident], ["a", "a"])
 
 
 def test_report_input_validation():

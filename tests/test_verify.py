@@ -1,7 +1,21 @@
+import numpy as np
 import pytest
 
-from youngops import run_verification
-from youngops.verify import UnknownSuiteError, default_suites
+from youngops import (
+    AlgebraElement,
+    TensorOperator,
+    YoungTableau,
+    realize,
+    run_verification,
+    young_operator,
+)
+from youngops.verify import (
+    _SUITES,
+    OPT_IN_SUITES,
+    SUITE_NAMES,
+    UnknownSuiteError,
+    default_suites,
+)
 
 
 def test_small_n_full_run_passes():
@@ -20,6 +34,26 @@ def test_default_suites_exclude_the_known_failure():
     assert "littlewood" not in default_suites(4)
     assert "littlewood" in default_suites(5)
     assert "partial-trace" not in default_suites(1)
+
+
+def test_default_suites_follow_the_flags():
+    assert OPT_IN_SUITES == ("conventional-transversality",)
+    for n in range(1, 8):
+        expected = set(SUITE_NAMES) - set(OPT_IN_SUITES)
+        if n < 2:
+            expected.discard("partial-trace")
+        if n != 5:
+            expected -= {"littlewood", "appendix-shortcut"}
+        flagged = {name for name, suite in _SUITES.items()
+                   if suite.default and suite.applies(n)}
+        assert default_suites(n) == sorted(expected) == sorted(flagged)
+
+
+def test_opt_in_suite_runs_when_named():
+    for name in OPT_IN_SUITES:
+        rep = run_verification(3, tensor_dims=[2], suites=[name])
+        assert [s.suite for s in rep.suites] == [name]
+        assert rep.passed_count > 0
 
 
 def test_checks_are_sorted_and_counted():
@@ -101,3 +135,58 @@ def test_duplicate_suite_requests_run_once():
     rep = run_verification(2, tensor_dims=[2],
                            suites=["completeness", "completeness"])
     assert len(rep.suites) == 1
+
+
+# -- witnesses ------------------------------------------------------------------
+
+
+def _Y(text):
+    return young_operator(YoungTableau.from_string(text))
+
+
+def test_algebra_witness_text():
+    # the classical defect: Y_{123/45} Y_{135/24} != 0
+    got = _Y("123/45") * _Y("135/24")
+    assert (got.first_difference(AlgebraElement.zero(5))
+            == "first differing term (1, 4, 2, 5, 3): difference -1/24")
+
+
+def test_matrix_witness_text():
+    m = realize(_Y("12/3"), 3)
+    assert (m.first_difference(m.transpose())
+            == "entry (1,3): got 0, want -1/3")
+
+
+def test_equal_values_have_no_witness():
+    y = _Y("12/3")
+    m = realize(y, 2)
+    assert y.first_difference(y.scale(1)) == ""
+    assert m.first_difference(m @ TensorOperator.identity(3, 2)) == ""
+
+
+def test_witness_across_spaces_raises():
+    with pytest.raises(ValueError):
+        AlgebraElement.one(2).first_difference(AlgebraElement.one(3))
+    with pytest.raises(ValueError):
+        TensorOperator.identity(2, 2).first_difference(
+            TensorOperator.identity(2, 3))
+
+
+def test_witness_text_is_the_same_on_object_numerators():
+    # a numerator past 2**63 at a later index leaves the first
+    # difference where it was
+    big = 2 ** 64
+    got = _Y("123/45") * _Y("135/24")
+    last = AlgebraElement.from_perm((5, 4, 3, 2, 1), big)
+    wide = got + last
+    assert wide.num.dtype == object
+    assert (wide.first_difference(last)
+            == got.first_difference(AlgebraElement.zero(5)))
+    m = realize(_Y("12/3"), 3)
+    num = np.zeros((27, 27), dtype=object)
+    num[26, 26] = big  # the weight block of (2, 2, 2), of size 1
+    corner = TensorOperator(3, 3, num)
+    wide = m + corner
+    assert wide.num.dtype == object
+    assert (wide.first_difference(m.transpose() + corner)
+            == m.first_difference(m.transpose()))
