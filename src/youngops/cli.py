@@ -23,7 +23,7 @@ import sys
 from math import prod
 from typing import IO, Sequence
 
-from .config import DEFAULT_MAX_N
+from .config import TABLEAU_MAX_N
 from .sn_algebra import hermitian_young, young_operator
 from .tableaux import YoungTableau, enumerate_syt
 from .verify import (
@@ -81,7 +81,7 @@ def _operator_for(args: argparse.Namespace):
 
 
 def _cmd_tableaux(args: argparse.Namespace) -> int:
-    tableaux = enumerate_syt(args.n, args.max_n)
+    tableaux = enumerate_syt(args.n)
     _emit([t.to_dict() for t in tableaux], args.json_out)
     return 0
 
@@ -97,7 +97,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
-    labelled = [(str(t), t.shape) for t in enumerate_syt(args.n, args.max_n)]
+    labelled = [(str(t), t.shape) for t in enumerate_syt(args.n)]
     hooks = {s: s.hook_product() for s in set(s for _, s in labelled)}
     tables = []
     for N in args.N:
@@ -168,11 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json-out", metavar="PATH", default=None,
                        help="also write JSON output to PATH")
 
+    n_help = f"number of boxes (1..{TABLEAU_MAX_N})"
     p = sub.add_parser("tableaux",
                        help="enumerate standard Young tableaux")
-    p.add_argument("--n", type=int, required=True, help="number of boxes")
-    p.add_argument("--max-n", type=int, default=None,
-                   help=f"raise the cap on n (default {DEFAULT_MAX_N})")
+    p.add_argument("--n", type=int, required=True, help=n_help)
     add_common(p)
     p.set_defaults(func=_cmd_tableaux)
 
@@ -191,11 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("dims", help="dimension table for all tableaux at n")
-    p.add_argument("--n", type=int, required=True, help="number of boxes")
+    p.add_argument("--n", type=int, required=True, help=n_help)
     p.add_argument("--N", type=int, action="append", required=True,
                    help="tensor-slot dimension (repeatable)")
-    p.add_argument("--max-n", type=int, default=None,
-                   help=f"raise the cap on n (default {DEFAULT_MAX_N})")
     add_common(p)
     p.set_defaults(func=_cmd_dims)
 

@@ -6,16 +6,18 @@ n! and tensor realizations like N^(2n).  There are three caps:
 
 - `ALGEBRA_MAX_N` bounds the degree of every group-algebra element, and
   so of every Young operator and every `verify` run.  It is fixed.
-- `DEFAULT_MAX_N` bounds tableau enumeration; `enumerate_syt(max_n=...)`
-  and the `--max-n` flag of `tableaux` and `dims` raise it.
+- `TABLEAU_MAX_N` bounds tableau enumeration.  It is fixed, and
+  `enumerate_syt` meets it in `check_tableau_size` before it grows
+  anything.
 - `DEFAULT_SIZE_CAP` bounds N**n, the dimension of (C^N)^(x n).  It is
   fixed, and every tensor entry point meets it in `check_tensor_size`
   before it allocates anything.
 """
 from __future__ import annotations
 
-# Largest n for tableau enumeration unless raised per call.
-DEFAULT_MAX_N = 7
+# Largest n for tableau enumeration: 9,496 standard tableaux at n = 10,
+# the dimension table CI pins, against 35,696 at n = 11.
+TABLEAU_MAX_N = 10
 
 # Largest degree of a group-algebra element.  Elements are stored over
 # all n! permutations and multiplied through an n! x n! composition
@@ -38,15 +40,12 @@ def check_algebra_size(n: int) -> None:
             f"elements are stored over all n! permutations")
 
 
-def check_tableau_size(n: int, max_n: int | None = None) -> None:
-    """Reject n beyond max_n, or beyond DEFAULT_MAX_N when it is None."""
-    cap = DEFAULT_MAX_N if max_n is None else max_n
-    if cap < 1:
-        raise ValueError(f"max_n must be positive, got {cap}")
-    if n > cap:
+def check_tableau_size(n: int) -> None:
+    """Reject n outside 1..TABLEAU_MAX_N."""
+    if not 1 <= n <= TABLEAU_MAX_N:
         raise SizeLimitError(
-            f"n={n} exceeds the tableau cap {cap}; "
-            "raise it with max_n=... (CLI: --max-n)")
+            f"n={n} is outside the supported tableau sizes "
+            f"1..{TABLEAU_MAX_N}")
 
 
 def check_tensor_size(n: int, N: int) -> int:

@@ -22,7 +22,9 @@ from .polynomial import Polynomial
 
 def _integer(x: object) -> int:
     """x as an int; anything but an integer (bool included) raises
-    TypeError rather than being truncated."""
+    TypeError rather than being truncated.  int takes a fast path."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, Integral):
         raise TypeError(f"expected an integer, got {x!r}")
     return int(x)
@@ -270,12 +272,11 @@ class YoungTableau:
         return "/".join(".".join(str(x) for x in row) for row in self.rows)
 
 
-def enumerate_syt(n: int, max_n: int | None = None) -> list[YoungTableau]:
+def enumerate_syt(n: int) -> list[YoungTableau]:
     """All standard Young tableaux with n boxes, in the canonical order
-    (row word ascending, then shape descending lexicographically)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    check_tableau_size(n, max_n)
+    (row word ascending, then shape descending lexicographically).
+    n outside 1..TABLEAU_MAX_N raises SizeLimitError before any is grown."""
+    check_tableau_size(n)
     # Grow by placing m at every outer corner of each standard tableau
     # with m-1 boxes; every standard tableau arises exactly once since
     # removing its largest entry is the inverse step.

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from youngops import enumerate_syt, verify
+from youngops import enumerate_syt, tableaux, verify
 from youngops.cli import main
 
 
@@ -71,9 +71,8 @@ def test_dims_table(capsys):
 
 def test_dims_past_nine_boxes(capsys):
     # Past n = 9 an entry can have two digits, so labels separate
-    # entries with dots.
-    code, out, _ = run_cli(capsys, "dims", "--n", "10", "--max-n", "10",
-                           "--N", "2")
+    # entries with dots.  n = 10 is also the tableau cap.
+    code, out, _ = run_cli(capsys, "dims", "--n", "10", "--N", "2")
     assert code == 0
     assert out.splitlines()[2].split()[0] == "1.2.3.4.5.6.7.8.9.10"
     assert out.endswith("sum(dim) = 1024, N^n = 1024: ok\n\n")
@@ -137,7 +136,7 @@ def test_verify_json_out(capsys, tmp_path):
 
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "verify", "--n", "3", "--suite", "nope")[0] == 2
-    assert run_cli(capsys, "tableaux", "--n", "9")[0] == 2
+    assert run_cli(capsys, "tableaux", "--n", "11")[0] == 2
     assert run_cli(capsys, "operator", "21/3")[0] == 2
     assert run_cli(capsys, "operator", "12//3")[0] == 2
     assert run_cli(capsys, "operator", '{"rows":[[1,2],[3]')[0] == 2
@@ -154,19 +153,16 @@ def test_argparse_usage_exit_two():
 
 
 def test_max_n_flag(capsys):
-    assert run_cli(capsys, "tableaux", "--n", "8")[0] == 2
-    code, out, _ = run_cli(capsys, "tableaux", "--n", "8", "--max-n", "8")
+    # Every size cap is fixed: --max-n is no option of any subcommand.
+    for argv in (["tableaux", "--n", "8"], ["dims", "--n", "8", "--N", "2"],
+                 ["operator", "12"], ["trace", "12"], ["verify", "--n", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-n", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-n" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "tableaux", "--n", "8")
     assert code == 0
     assert len(json.loads(out)) == 764
-    code, out, _ = run_cli(capsys, "dims", "--n", "8", "--N", "2",
-                           "--max-n", "8")
-    assert code == 0
-    assert out.endswith("sum(dim) = 256, N^n = 256: ok\n\n")
-    # the algebra cap is fixed: --max-n is no option of operator, trace
-    # or verify
-    for argv in (["operator", "12"], ["trace", "12"], ["verify", "--n", "2"]):
-        with pytest.raises(SystemExit):
-            main(argv + ["--max-n", "8"])
 
 
 def test_output_is_byte_stable(capsys):
@@ -214,6 +210,19 @@ def test_size_caps_refuse_before_any_work(capsys, monkeypatch, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["tableaux", "--n", "11"],
+    ["dims", "--n", "11", "--N", "2"],
+])
+def test_tableau_cap_refuses_before_enumeration(capsys, monkeypatch, argv):
+    def no_tableau(*args):
+        raise AssertionError("tableau built before the size check")
+    monkeypatch.setattr(tableaux, "YoungTableau", no_tableau)
+    code, out, err = run_cli(capsys, *argv)
+    _assert_one_line_error(code, err)
+    assert "1..10" in err and out == ""
+
+
 # Non-integer entries are refused, not truncated: 2.9 is not read as 2,
 # nor "1" as 1, nor true as 1.
 MALFORMED_TABLEAUX = ['{"rows":5}', '{"shape":[2]}', '{"rows":[[1.5]]}',
@@ -241,8 +250,9 @@ def test_unwritable_json_out_exits_two_before_verify_runs(capsys, tmp_path):
     assert out == ""
 
 
-# Pieces of argv for the fuzz.  --n and --max-n stay small or refused,
-# so that no drawn argv starts minutes of work.
+# Pieces of argv for the fuzz.  --n stays small or refused, so that no
+# drawn argv starts minutes of work.  --max-n is no option of any
+# subcommand; its pieces exercise the argparse refusal.
 _N = [["--n", v] for v in ("-1", "0", "1", "2", "3", "8", "99")]
 _TENSOR_N = [["--N", v] for v in ("-1", "0", "1", "2", "3", "99", "x")]
 _TABLEAUX = [[t] for t in ["12", "12/3", "1/2/3", "21/3", "12//3", "", "abc",

@@ -1,11 +1,13 @@
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from youngops import (
     Polynomial,
     SizeLimitError,
+    TABLEAU_MAX_N,
     YoungDiagram,
     YoungTableau,
     enumerate_syt,
@@ -102,11 +104,11 @@ def test_enumeration_order_fixture():
 
 
 def test_enumeration_rejects_bad_n():
+    # the two edges of the fixed rule: 1..TABLEAU_MAX_N = 1..10
     with pytest.raises(ValueError):
         enumerate_syt(0)
     with pytest.raises(SizeLimitError):
-        enumerate_syt(8)
-    assert len(enumerate_syt(8, max_n=8)) == 764
+        enumerate_syt(TABLEAU_MAX_N + 1)
 
 
 def test_regular_representation_count():
@@ -124,6 +126,24 @@ def test_tableau_validation():
         YoungTableau([[1, 2], [2]])  # not a bijection
     with pytest.raises(ValueError):
         YoungTableau([[1, 2], [4]])  # misses 3
+
+
+def test_numpy_integer_entries_equal_int_entries():
+    rows = [[1, 3, 5], [2, 4]]
+    t = YoungTableau(rows)
+    t64 = YoungTableau([[np.int64(x) for x in row] for row in rows])
+    assert t64 == t and hash(t64) == hash(t)
+    assert all(type(x) is int for row in t64.rows for x in row)
+    d64 = YoungDiagram([np.int64(3), np.int64(2)])
+    assert d64 == t.shape and hash(d64) == hash(t.shape)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_non_integer_entries_are_refused(bad):
+    with pytest.raises(TypeError):
+        YoungTableau([[bad]])
+    with pytest.raises(TypeError):
+        YoungDiagram([bad])
 
 
 def test_standardness_predicate():
