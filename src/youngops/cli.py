@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import json
 import sys
-from math import prod
 from typing import IO, Sequence
 
 from .config import TABLEAU_MAX_N
@@ -39,7 +38,7 @@ def _parse_tableau(text: str) -> YoungTableau:
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"bad tableau JSON: {exc}") from None
         try:
             return YoungTableau.from_dict(data)
@@ -65,9 +64,11 @@ def _emit(payload: dict | list, json_out: IO[str] | None, *,
     if also_stdout:
         sys.stdout.write(text)
     if json_out is not None:
+        # Closing here, even when the write fails, leaves nothing
+        # buffered for main's `with` to flush again.
         try:
-            json_out.write(text)
-            json_out.flush()
+            with json_out:
+                json_out.write(text)
         except OSError as exc:
             raise ValueError(
                 f"cannot write {json_out.name}: {exc.strerror}") from None
@@ -98,13 +99,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_dims(args: argparse.Namespace) -> int:
     labelled = [(str(t), t.shape) for t in enumerate_syt(args.n)]
-    hooks = {s: s.hook_product() for s in set(s for _, s in labelled)}
+    shapes = set(s for _, s in labelled)
+    hooks = {s: s.hook_product() for s in shapes}
+    polys = {s: s.dimension_polynomial() for s in shapes}
     tables = []
     for N in args.N:
         if N < 1:
             raise ValueError(f"N must be positive, got {N}")
-        # f_T(N) = prod over cells (j, k) of (N + k - j), once per shape.
-        f = {s: prod(N + k - j for j, k in s.cells()) for s in hooks}
+        f = {s: int(poly(N)) for s, poly in polys.items()}
         rows = [{"tableau": label, "f": f[s], "hook": hooks[s],
                  "dim": f[s] // hooks[s]} for label, s in labelled]
         total = sum(r["dim"] for r in rows)

@@ -8,25 +8,13 @@ permutes the factors of a tensor product.
 from __future__ import annotations
 
 from itertools import permutations as _itertools_permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
 
 
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
-
-
-def is_perm(p: Sequence[int]) -> bool:
-    return sorted(p) == list(range(1, len(p) + 1))
-
-
-def check_perm(p: Sequence[int]) -> Perm:
-    """Validate and normalize to a tuple; raises ValueError if invalid."""
-    t = tuple(p)
-    if not is_perm(t):
-        raise ValueError(f"not a permutation of 1..{len(t)}: {t}")
-    return t
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -85,13 +73,6 @@ def sign(p: Perm) -> int:
 def all_permutations(n: int) -> Iterator[Perm]:
     """All n! permutations of 1..n in lexicographic one-line order."""
     return _itertools_permutations(range(1, n + 1))
-
-
-def embed(p: Perm, n: int) -> Perm:
-    """Extend a permutation of 1..m to 1..n (m <= n) fixing m+1, ..., n."""
-    if len(p) > n:
-        raise ValueError(f"cannot embed a permutation of length {len(p)} into S_{n}")
-    return p + tuple(range(len(p) + 1, n + 1))
 
 
 def perms_of(values: Iterable[int], n: int) -> Iterator[Perm]:

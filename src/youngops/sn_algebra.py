@@ -279,10 +279,6 @@ class AlgebraElement(_Exact):
             return Fraction(0)
         return self._coeff_at(rank)
 
-    def sorted_terms(self) -> list[tuple[Perm, Fraction]]:
-        """Terms sorted by one-line form (the canonical order)."""
-        return list(self.terms.items())
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self.num))
 
@@ -301,12 +297,12 @@ class AlgebraElement(_Exact):
         return self._new(self.n, num, self.den * other.den)
 
     def __repr__(self) -> str:
-        return f"AlgebraElement({self.n}, {dict(self.sorted_terms())!r})"
+        return f"AlgebraElement({self.n}, {dict(self.terms)!r})"
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
-        return " + ".join(f"({c})*{p}" for p, c in self.sorted_terms())
+        return " + ".join(f"({c})*{p}" for p, c in self.terms.items())
 
     # -- involution, traces ---------------------------------------------------
 
@@ -360,7 +356,7 @@ class AlgebraElement(_Exact):
         sorted by one-line form."""
         return {"n": self.n,
                 "terms": [{"perm": list(p), "coeff": str(c)}
-                          for p, c in self.sorted_terms()]}
+                          for p, c in self.terms.items()]}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AlgebraElement":

@@ -12,7 +12,7 @@ the shape tie-break puts wider shapes first: 123, 12/3, 1/2/3, 13/2.
 """
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 from numbers import Integral
 from typing import Iterator, Mapping, Sequence
 
@@ -96,15 +96,12 @@ class YoungDiagram:
         """1 + boxes to the right in row j + boxes below in column k."""
         if not (1 <= j <= len(self.rows) and 1 <= k <= self.rows[j - 1]):
             raise ValueError(f"cell ({j},{k}) outside shape {self.rows}")
-        return (self.rows[j - 1] - k) + (self.columns[k - 1] - j) + 1
+        below = sum(1 for lam in self.rows[j:] if lam >= k)
+        return (self.rows[j - 1] - k) + below + 1
 
     def hook_product(self) -> int:
         """Product of all hook lengths; the Young-operator normalization."""
-        cols = self.columns
-        out = 1
-        for j, k in self.cells():
-            out *= (self.rows[j - 1] - k) + (cols[k - 1] - j) + 1
-        return out
+        return prod(self.hook_length(j, k) for j, k in self.cells())
 
     def syt_count(self) -> int:
         """Number of standard tableaux of this shape: n!/hook_product."""

@@ -34,9 +34,6 @@ DEFAULT_SIZE_CAP raises SizeLimitError before anything is allocated.
 
 Basis order: a multi-index (a_1, ..., a_n) with digits in 0..N-1 maps
 to the integer whose base-N digits it is, slot 1 most significant.
-
-`orthogonality_report`, which checks a family of operators, has moved
-to `verify` and returns `verify.CheckResult`s (an API change).
 """
 from __future__ import annotations
 
@@ -224,9 +221,6 @@ class TensorOperator(_Exact):
 
     def entry(self, row: int, col: int) -> Fraction:
         return Fraction(int(self.num[row, col]), self.den)
-
-    def is_symmetric(self) -> bool:
-        return bool((self.num == self.num.T).all())
 
     def _difference_at(self, other: "TensorOperator", i: int,
                        diff: Fraction) -> str:

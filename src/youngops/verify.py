@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .config import check_algebra_size, check_tensor_size
 from .exact import _Exact
+from .polynomial import Polynomial
 from .sn_algebra import (
     AlgebraElement,
     embed_element,
@@ -121,24 +122,38 @@ def _equality_check(check_id: str, anchor: str,
                        "" if ok else lhs.first_difference(rhs))
 
 
+def _value_check(check_id: str, anchor: str,
+                 got: object, want: object) -> CheckResult:
+    ok = got == want
+    return CheckResult(check_id, anchor, ok,
+                       "" if ok else f"got {got}, want {want}")
+
+
+# The two operator families, by the letter their check ids carry.
+_FAMILIES = (("Y", young_operator), ("P", hermitian_young))
+
+
+def _dimension(t: YoungTableau) -> Polynomial:
+    """f_T(N)/|T|, the trace and rank of D(Y_T) and D(P_T), in N."""
+    return t.shape.dimension_polynomial() / t.shape.hook_product()
+
+
 # -- individual suites --------------------------------------------------------
 
 
 def _suite_idempotency(ctx: _Context) -> list[CheckResult]:
     out = []
     for t in ctx.tableaux:
-        name = t.to_string()
-        y = young_operator(t)
-        out.append(_equality_check(f"idempotency:Y:{name}",
-                                   "Y_T Y_T = Y_T", y * y, y))
-        p = hermitian_young(t)
-        out.append(_equality_check(f"idempotency:P:{name}",
-                                   "P_T P_T = P_T", p * p, p))
+        for kind, build in _FAMILIES:
+            x = build(t)
+            out.append(_equality_check(f"idempotency:{kind}:{t.to_string()}",
+                                       f"{kind}_T {kind}_T = {kind}_T",
+                                       x * x, x))
     return out
 
 
 def _transversality(ctx: _Context, kind: str, suite: str) -> list[CheckResult]:
-    build = young_operator if kind == "Y" else hermitian_young
+    build = dict(_FAMILIES)[kind]
     ops = {t.to_string(): build(t) for t in ctx.tableaux}
     anchor = f"{kind}_T {kind}_U = delta_TU {kind}_T"
     out = []
@@ -177,15 +192,11 @@ def _suite_completeness(ctx: _Context) -> list[CheckResult]:
 def _suite_traces(ctx: _Context) -> list[CheckResult]:
     out = []
     for t in ctx.tableaux:
-        name = t.to_string()
-        shape = t.shape
-        want = shape.dimension_polynomial() / shape.hook_product()
-        for kind, op in (("Y", young_operator(t)), ("P", hermitian_young(t))):
-            got = op.trace_polynomial()
-            ok = got == want
-            out.append(CheckResult(
-                f"traces:{kind}:{name}", "tr Y_T = tr P_T = f_T(N)/|T|", ok,
-                "" if ok else f"got {got}, want {want}"))
+        want = _dimension(t)
+        for kind, build in _FAMILIES:
+            out.append(_value_check(f"traces:{kind}:{t.to_string()}",
+                                    "tr Y_T = tr P_T = f_T(N)/|T|",
+                                    build(t).trace_polynomial(), want))
     return out
 
 
@@ -197,7 +208,7 @@ def _suite_partial_trace(ctx: _Context) -> list[CheckResult]:
         name = t.to_string()
         parent, p, q = t.parent()
         ratio = Fraction(parent.shape.hook_product(), t.shape.hook_product())
-        for kind, build in (("Y", young_operator), ("P", hermitian_young)):
+        for kind, build in _FAMILIES:
             check_id = f"partial-trace:{kind}:{name}"
             anchor = f"tr' {kind}_T = (N+p-q) (|T'|/|T|) {kind}_T'"
             looped, spliced = build(t).partial_trace()
@@ -230,20 +241,13 @@ def _suite_appendix_shortcut(ctx: _Context) -> list[CheckResult]:
     # Sandwiching Y_T between the Hermitian operator of the first rows'
     # sub-tableau reproduces the full recursion in one step when the
     # remaining boxes fill a single row/column pattern.
-    p123 = embed_element(hermitian_young(YoungTableau.from_string("123")), 5)
-    y = young_operator(YoungTableau.from_string("123/45"))
-    out.append(_equality_check(
-        "appendix-shortcut:123/45",
-        "embed(P_{123}) Y_{123/45} embed(P_{123}) = P_{123/45}",
-        p123 * y * p123,
-        hermitian_young(YoungTableau.from_string("123/45"))))
-    p12 = embed_element(hermitian_young(YoungTableau.from_string("1/2")), 4)
-    y2 = young_operator(YoungTableau.from_string("13/24"))
-    out.append(_equality_check(
-        "appendix-shortcut:13/24",
-        "embed(P_{1/2}) Y_{13/24} embed(P_{1/2}) = P_{13/24}",
-        p12 * y2 * p12,
-        hermitian_young(YoungTableau.from_string("13/24"))))
+    for sub, full in (("123", "123/45"), ("1/2", "13/24")):
+        t = YoungTableau.from_string(full)
+        p = embed_element(hermitian_young(YoungTableau.from_string(sub)), t.n)
+        out.append(_equality_check(
+            f"appendix-shortcut:{full}",
+            f"embed(P_{{{sub}}}) Y_{{{full}}} embed(P_{{{sub}}}) = P_{{{full}}}",
+            p * young_operator(t) * p, hermitian_young(t)))
     y135 = young_operator(YoungTableau.from_string("135/24"))
     out.append(_equality_check(
         "appendix-shortcut:squaring",
@@ -283,10 +287,8 @@ def orthogonality_report(ops: Sequence[TensorOperator],
         raise ValueError("labels must be distinct")
     checks = []
     for name, op in zip(names, ops):
-        ok = op.is_symmetric()
-        checks.append(CheckResult(
-            f"{prefix}symmetric:{name}", _ORTHOGONALITY, ok,
-            "" if ok else op.first_difference(op.transpose())))
+        checks.append(_equality_check(f"{prefix}symmetric:{name}",
+                                      _ORTHOGONALITY, op, op.transpose()))
     zero = TensorOperator.zero(first.n, first.N)
     for i, (ni, mi) in enumerate(zip(names, ops)):
         for j, (nj, mj) in enumerate(zip(names, ops)):
@@ -302,24 +304,19 @@ def orthogonality_report(ops: Sequence[TensorOperator],
 def _suite_tensor(ctx: _Context) -> list[CheckResult]:
     out = []
     names = [t.to_string() for t in ctx.tableaux]
+    dims = [_dimension(t) for t in ctx.tableaux]
     for N in ctx.tensor_dims:
         prefix = f"tensor:N={N}:"
         mats = [realize(hermitian_young(t), N) for t in ctx.tableaux]
         out.extend(orthogonality_report(mats, names, prefix))
-        for t, name, mat in zip(ctx.tableaux, names, mats):
-            shape = t.shape
-            want = Fraction(shape.dimension_polynomial()(N),
-                            shape.hook_product())
-            got_trace = mat.trace()
-            out.append(CheckResult(
-                f"{prefix}trace:{name}", "tr D(P_T) = f_T(N)/|T|",
-                got_trace == want,
-                "" if got_trace == want else f"got {got_trace}, want {want}"))
-            got_rank = mat.rank()
-            out.append(CheckResult(
-                f"{prefix}rank:{name}", "rank D(P_T) = f_T(N)/|T|",
-                got_rank == want,
-                "" if got_rank == want else f"got {got_rank}, want {want}"))
+        for name, dim, mat in zip(names, dims, mats):
+            want = dim(N)
+            out.append(_value_check(f"{prefix}trace:{name}",
+                                    "tr D(P_T) = f_T(N)/|T|",
+                                    mat.trace(), want))
+            out.append(_value_check(f"{prefix}rank:{name}",
+                                    "rank D(P_T) = f_T(N)/|T|",
+                                    mat.rank(), want))
         if ctx.n >= 2:
             for t, name, p_mat in zip(ctx.tableaux, names, mats):
                 y = young_operator(t)
@@ -387,7 +384,8 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
             if name not in _SUITES:
                 raise UnknownSuiteError(
                     f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    dims = tuple(tensor_dims) if tensor_dims else DEFAULT_TENSOR_DIMS
+    # A repeated N runs once, at its first place.
+    dims = tuple(dict.fromkeys(tensor_dims or DEFAULT_TENSOR_DIMS))
     for N in dims:
         if N < 1:
             raise ValueError(f"N must be positive, got {N}")

@@ -123,6 +123,14 @@ def test_verify_exit_one_on_failure(capsys):
     assert "witness:" in out
 
 
+def test_verify_repeated_tensor_dimension_runs_once(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--N", "2",
+                           "--N", "2", "--suite", "tensor")
+    assert code == 0
+    assert out.startswith("verify n=2 N=2\n")
+    assert out.count("PASS tensor:N=2:sum-to-identity ") == 1
+
+
 def test_verify_json_out(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", "--n", "3", "--N", "2",
@@ -240,6 +248,28 @@ def test_unwritable_json_out_exits_two(capsys, tmp_path):
     path = tmp_path / "missing" / "x.json"
     code, _, err = run_cli(capsys, "operator", "12", "--json-out", str(path))
     _assert_one_line_error(code, err)
+
+
+def test_deeply_nested_tableau_json_exits_two(capsys):
+    depth = 5000  # past the JSON decoder's recursion limit
+    text = '{"rows": ' + "[" * depth + "]" * depth + "}"
+    code, out, err = run_cli(capsys, "trace", text)
+    _assert_one_line_error(code, err)
+    assert err.startswith("error: bad tableau JSON: ") and out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["operator", '{"rows": [[1]]}'],
+    ["dims", "--n", "2", "--N", "2"],
+    ["verify", "--n", "2", "--suite", "completeness"],
+])
+def test_json_out_on_a_full_device_exits_two(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--json-out", "/dev/full")
+    assert code == 2
+    # verify's stderr also carries its "# timing" lines
+    assert [line for line in err.splitlines() if not line.startswith("#")] == [
+        "error: cannot write /dev/full: No space left on device"]
 
 
 def test_unwritable_json_out_exits_two_before_verify_runs(capsys, tmp_path):

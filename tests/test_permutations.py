@@ -1,20 +1,16 @@
 from math import factorial
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from youngops.permutations import (
     all_permutations,
-    check_perm,
     compose,
     cycle_count,
     cycle_type,
     cycles,
-    embed,
     identity,
     inverse,
-    is_perm,
     perms_of,
     sign,
     transposition,
@@ -83,21 +79,6 @@ def test_all_permutations_counts():
         seen = list(all_permutations(n))
         assert len(seen) == factorial(n)
         assert len(set(seen)) == factorial(n)
-
-
-def test_validation():
-    assert is_perm((2, 1, 3))
-    assert not is_perm((1, 1, 3))
-    assert not is_perm((0, 1, 2))
-    with pytest.raises(ValueError):
-        check_perm((1, 2, 2))
-
-
-def test_embed_fixes_trailing_slots():
-    assert embed((2, 1), 4) == (2, 1, 3, 4)
-    assert embed((2, 1), 2) == (2, 1)
-    with pytest.raises(ValueError):
-        embed((2, 1, 3), 2)
 
 
 def test_perms_of_is_the_subgroup_on_the_subset():

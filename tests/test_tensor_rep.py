@@ -121,7 +121,7 @@ def test_realize_antisymmetrizer_in_one_dimension():
 
 def test_realize_hermitian_projector_at_three():
     d = realize(hermitian_young(T("12/3")), 3)
-    assert d.is_symmetric()
+    assert d == d.transpose()
     assert d @ d == d
     assert d.trace() == 8
     assert d.rank() == 8
@@ -604,11 +604,10 @@ def test_report_passes_for_hermitian_family():
 def test_report_flags_non_symmetric_conventional_operators():
     mats = [realize(young_operator(T(s)), 3) for s in ("12/3", "13/2")]
     rep = orthogonality_report(mats, ["12/3", "13/2"], prefix="tensor:N=3:")
-    failures = [c for c in rep if not c.passed]
-    failed = {c.check_id for c in failures}
-    assert {"tensor:N=3:symmetric:12/3", "tensor:N=3:symmetric:13/2"} <= failed
-    for c in failures:
-        assert c.witness.startswith("entry (")
+    assert {c.check_id: c.witness for c in rep if not c.passed} == {
+        "tensor:N=3:symmetric:12/3": "entry (1,3): got 0, want -1/3",
+        "tensor:N=3:symmetric:13/2": "entry (1,3): got -1/3, want 0",
+        "tensor:N=3:sum-to-identity": "entry (0,0): got 0, want 1"}
 
 
 def test_report_single_identity_passes():

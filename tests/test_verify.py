@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from youngops.verify import (
     OPT_IN_SUITES,
     SUITE_NAMES,
     UnknownSuiteError,
+    _value_check,
     default_suites,
 )
 
@@ -131,6 +134,17 @@ def test_report_dict_shape():
     assert d["counts"]["passed"] == rep.passed_count
 
 
+def test_repeated_tensor_dimensions_run_once_in_order():
+    rep = run_verification(2, tensor_dims=[3, 2, 3], suites=["tensor"])
+    assert rep.tensor_dims == (3, 2)
+
+
+def test_check_ids_are_unique_across_every_suite():
+    rep = run_verification(4, tensor_dims=[2, 3, 2], suites=SUITE_NAMES)
+    ids = [c.check_id for s in rep.suites for c in s.checks]
+    assert len(ids) == len(set(ids))
+
+
 def test_duplicate_suite_requests_run_once():
     rep = run_verification(2, tensor_dims=[2],
                            suites=["completeness", "completeness"])
@@ -155,6 +169,12 @@ def test_matrix_witness_text():
     m = realize(_Y("12/3"), 3)
     assert (m.first_difference(m.transpose())
             == "entry (1,3): got 0, want -1/3")
+
+
+def test_value_witness_text():
+    assert _value_check("x", "a", Fraction(1, 2), 1).witness == (
+        "got 1/2, want 1")
+    assert _value_check("x", "a", 8, Fraction(8)).witness == ""
 
 
 def test_equal_values_have_no_witness():
