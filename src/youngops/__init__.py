@@ -7,7 +7,7 @@ dimension N, and an exact matrix realization on (C^N)^(x n) for
 independent cross-validation.  Everything is computed in exact rational
 arithmetic; every identity either holds on the nose or fails loudly.
 """
-from .config import DEFAULT_SIZE_CAP, TABLEAU_MAX_N, SizeLimitError
+from .config import TABLEAU_MAX_N, TENSOR_MAX_DIM, SizeLimitError
 from .polynomial import Polynomial
 from .permutations import (
     Perm,
@@ -50,8 +50,8 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_SIZE_CAP",
     "TABLEAU_MAX_N",
+    "TENSOR_MAX_DIM",
     "SizeLimitError",
     "Polynomial",
     "Perm",

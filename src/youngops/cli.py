@@ -103,7 +103,8 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     hooks = {s: s.hook_product() for s in shapes}
     polys = {s: s.dimension_polynomial() for s in shapes}
     tables = []
-    for N in args.N:
+    # A repeated N runs once, at its first place, as in `verify`.
+    for N in dict.fromkeys(args.N):
         if N < 1:
             raise ValueError(f"N must be positive, got {N}")
         f = {s: int(poly(N)) for s, poly in polys.items()}

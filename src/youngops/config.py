@@ -9,7 +9,7 @@ n! and tensor realizations like N^(2n).  There are three caps:
 - `TABLEAU_MAX_N` bounds tableau enumeration.  It is fixed, and
   `enumerate_syt` meets it in `check_tableau_size` before it grows
   anything.
-- `DEFAULT_SIZE_CAP` bounds N**n, the dimension of (C^N)^(x n).  It is
+- `TENSOR_MAX_DIM` bounds N**n, the dimension of (C^N)^(x n).  It is
   fixed, and every tensor entry point meets it in `check_tensor_size`
   before it allocates anything.
 """
@@ -25,7 +25,7 @@ TABLEAU_MAX_N = 10
 ALGEBRA_MAX_N = 7
 
 # Largest N**n for tensor operators (243*16 headroom over N=3, n=5).
-DEFAULT_SIZE_CAP = 4096
+TENSOR_MAX_DIM = 4096
 
 
 class SizeLimitError(ValueError):
@@ -50,12 +50,12 @@ def check_tableau_size(n: int) -> None:
 
 def check_tensor_size(n: int, N: int) -> int:
     """N**n, the dimension of (C^N)^(x n); reject n < 0, N < 1 and N**n
-    beyond DEFAULT_SIZE_CAP."""
+    beyond TENSOR_MAX_DIM."""
     if n < 0 or N < 1:
         raise ValueError(f"need n >= 0 and N >= 1, got n={n}, N={N}")
     dim = N ** n
-    if dim > DEFAULT_SIZE_CAP:
+    if dim > TENSOR_MAX_DIM:
         raise SizeLimitError(
             f"N^n = {N}^{n} = {dim} exceeds the tensor cap "
-            f"{DEFAULT_SIZE_CAP}: operators are N^n x N^n matrices")
+            f"{TENSOR_MAX_DIM}: operators are N^n x N^n matrices")
     return dim

@@ -113,21 +113,17 @@ class _SnTable:
             comp[i] = self.ranks(row[self.images])
         return comp
 
-    def embedding(self, k: int) -> np.ndarray:
-        """Rank in S_n of each permutation of S_k (in S_k rank order)
-        extended to fix k+1, ..., n."""
-        low = sn_table(k).images
-        tail = np.broadcast_to(np.arange(k, self.n), (len(low), self.n - k))
-        return self.ranks(np.hstack([low, tail]))
-
     def young_subgroup(self, blocks: Iterable[Sequence[int]]) -> np.ndarray:
         """Ranks of the Young subgroup prod_B Sym(B) of the disjoint
         blocks B of 1..n: the permutations mapping every block onto
         itself.
 
-        Each block's group is S_k written into the block's slots and
-        ranked in one call.  Disjoint blocks commute, so their groups
-        are chained through `comp`, each element arising once.
+        Each block's group is S_k written into the block's slots, in
+        S_k's rank order, and ranked in one call; so the single block
+        1..k gives S_k extended to fix k+1, ..., n, in that order, as
+        `embed_element` and `partial_trace` need.  Disjoint blocks
+        commute, so their groups are chained through `comp`, each
+        element arising once.
         """
         groups = []
         for block in blocks:
@@ -217,8 +213,6 @@ class AlgebraElement(_Exact):
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Perm, Scalar] = ()):
-        if n < 1:
-            raise ValueError(f"degree must be positive, got {n}")
         table = sn_table(n)
         coeffs: list[tuple[int, Fraction]] = []
         for p, c in dict(terms).items():
@@ -341,7 +335,7 @@ class AlgebraElement(_Exact):
         if self.n < 2:
             raise ValueError("partial trace requires degree >= 2")
         table = sn_table(self.n)
-        looped = self.num[table.embedding(self.n - 1)]
+        looped = self.num[table.young_subgroup([range(1, self.n)])]
         spliced = self.num[table.splice]
         # Each entry of B sums n-1 terms of size at most max|num|.
         if (self.n - 1) * _maxabs(self.num) >= _I64_EXACT:
@@ -375,7 +369,7 @@ def embed_element(a: AlgebraElement, n: int) -> AlgebraElement:
         return a
     table = sn_table(n)
     num = np.zeros(table.size, dtype=a.num.dtype)
-    num[table.embedding(a.n)] = a.num
+    num[table.young_subgroup([range(1, a.n + 1)])] = a.num
     return AlgebraElement._new(n, num, a.den)
 
 
@@ -408,14 +402,6 @@ def antisymmetrizer(slots: Iterable[int], n: int) -> AlgebraElement:
 # -- Young operators ----------------------------------------------------------
 
 
-def _tableau_columns(t: YoungTableau) -> list[list[int]]:
-    cols: list[list[int]] = [[] for _ in range(len(t.rows[0]))]
-    for row in t.rows:
-        for k, x in enumerate(row):
-            cols[k].append(x)
-    return cols
-
-
 # Operators of standard tableaux are reused across suites and by the
 # Hermitian recursion (P_T needs Y_T and the parent P_T'), so both
 # families are memoized on the tableau's row tuple.  Concurrent inserts
@@ -443,17 +429,16 @@ def young_operator(t: YoungTableau, *,
     package is about standard tableaux.
     """
     n = t.n
-    check_algebra_size(n)
     cached = _YOUNG_CACHE.get(t.rows)
     if cached is not None:
         return cached  # only standard tableaux are ever stored
+    table = sn_table(n)  # refuses n outside 1..ALGEBRA_MAX_N
     standard = t.is_standard()
     if not (allow_nonstandard or standard):
         raise ValueError(f"tableau {t} is not standard "
                          "(pass allow_nonstandard=True to force)")
-    table = sn_table(n)
     rows = table.young_subgroup(t.rows)
-    cols = table.young_subgroup(_tableau_columns(t))
+    cols = table.young_subgroup(t.columns)
     # The scatter is injective: rc = r'c' gives r'^-1 r = c' c^-1, which
     # lies in R and in C.  A row and a column share exactly one box, so
     # a permutation keeping every entry in its row and in its column
@@ -471,28 +456,27 @@ def young_operator(t: YoungTableau, *,
 def hermitian_young(t: YoungTableau) -> AlgebraElement:
     """The Hermitian Young operator P_T.
 
-    Defined recursively: P_T = Y_T for n <= 2 (and the identity element
-    for the single-box tableau, forced by completeness), and
+    Defined recursively: P_T = Y_T for n <= 2, and
 
         P_T = embed(P_T') * Y_T * embed(P_T')
 
     for n >= 3, where T' is T with the box containing n removed and the
-    embedding fixes slot n.  P_T is an idempotent, invariant under the
-    *-involution, with the same trace as Y_T, and the P_T over all
+    embedding fixes slot n.  The one base case is Y_T: for the single
+    box it is the identity, and at n = 2 the wings are that identity,
+    so the sandwich is Y_T too.  P_T is an idempotent, invariant under
+    the *-involution, with the same trace as Y_T, and the P_T over all
     standard tableaux of n boxes are mutually transversal and sum to
     the identity.
     """
     n = t.n
-    check_algebra_size(n)
     key = t.rows
     cached = _HERMITIAN_CACHE.get(key)
     if cached is not None:
         return cached  # only standard tableaux are ever stored
+    sn_table(n)  # refuses n outside 1..ALGEBRA_MAX_N before any parent
     if not t.is_standard():
         raise ValueError(f"tableau {t} is not standard")
-    if n == 1:
-        result = AlgebraElement.one(1)
-    elif n == 2:
+    if n <= 2:
         result = young_operator(t)
     else:
         parent, _, _ = t.parent()

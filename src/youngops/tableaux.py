@@ -153,7 +153,7 @@ class YoungTableau:
     requirement, so deliberately non-standard fillings can be built too.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "shape")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         rs = tuple(tuple(_integer(x) for x in row) for row in rows)
@@ -162,14 +162,18 @@ class YoungTableau:
         if flat != list(range(1, shape.n + 1)):
             raise ValueError(f"entries must be a bijection onto 1..{shape.n}: {rs}")
         self.rows = rs
-
-    @property
-    def shape(self) -> YoungDiagram:
-        return YoungDiagram([len(row) for row in self.rows])
+        self.shape = shape
 
     @property
     def n(self) -> int:
         return sum(len(row) for row in self.rows)
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The entries of each column, top to bottom; the counterpart of
+        `rows`."""
+        return tuple(tuple(row[k] for row in self.rows if len(row) > k)
+                     for k in range(len(self.rows[0])))
 
     @property
     def entries(self) -> dict[tuple[int, int], int]:
@@ -196,35 +200,30 @@ class YoungTableau:
 
     def is_standard(self) -> bool:
         """Strictly increasing along every row and down every column."""
-        for row in self.rows:
-            if any(row[k] >= row[k + 1] for k in range(len(row) - 1)):
-                return False
-        for upper, lower in zip(self.rows, self.rows[1:]):
-            if any(upper[k] >= lower[k] for k in range(len(lower))):
+        for line in self.rows + self.columns:
+            if any(line[k] >= line[k + 1] for k in range(len(line) - 1)):
                 return False
         return True
 
     def parent(self) -> tuple["YoungTableau", int, int]:
         """Remove the cell containing n.
 
-        Returns (parent tableau, p, q) where p is the length of the
-        removed cell's row and q the length of its column -- for a
-        standard tableau the cell of n is an outer corner, so p and q
-        are also its column and row indices.  The factor (N + p - q) is
-        the removed box's contribution to the dimension polynomial.
+        Returns (parent tableau, p, q) where p is the column and q the
+        row of the removed cell.  In a standard tableau n sits at an
+        outer corner, so p is also the length of that cell's row and q
+        the length of its column.  The factor (N + p - q) is the removed
+        box's contribution to the dimension polynomial.
         """
         if self.n < 2:
             raise ValueError("parent requires at least two boxes")
         if not self.is_standard():
             raise ValueError(f"parent requires a standard tableau, got {self}")
         j0, k0 = self.cell_of(self.n)
-        p = len(self.rows[j0 - 1])
-        q = self.shape.columns[k0 - 1]
         rows = [list(row) for row in self.rows]
         rows[j0 - 1].pop()
         if not rows[j0 - 1]:
             rows.pop()
-        return (YoungTableau(rows), p, q)
+        return (YoungTableau(rows), k0, j0)
 
     # -- presentation and wire formats ------------------------------------
 

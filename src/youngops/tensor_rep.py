@@ -30,7 +30,7 @@ of the same kind with an object fallback, so results are always exact.
 
 Size.  Every entry point reaches `basis_table(n, N)` first, and its
 construction applies `config.check_tensor_size`: so N^n beyond
-DEFAULT_SIZE_CAP raises SizeLimitError before anything is allocated.
+TENSOR_MAX_DIM raises SizeLimitError before anything is allocated.
 
 Basis order: a multi-index (a_1, ..., a_n) with digits in 0..N-1 maps
 to the integer whose base-N digits it is, slot 1 most significant.
@@ -370,7 +370,7 @@ def realize(a: AlgebraElement, N: int) -> TensorOperator:
     basis column encode(b) maps to the row whose multi-index a satisfies
     a[sigma(k)] = b[k].  The partial-trace pair (A, B) of an element
     realizes at a concrete N as realize(A.scale(N) + B, N).  N^n beyond
-    DEFAULT_SIZE_CAP raises SizeLimitError before anything is allocated.
+    TENSOR_MAX_DIM raises SizeLimitError before anything is allocated.
     """
     n = a.n
     basis = basis_table(n, N)

@@ -90,6 +90,16 @@ def test_dims_json_out(capsys, tmp_path):
     assert [r["dim"] for r in table["rows"]] == [1, 0]
 
 
+def test_dims_repeated_N_runs_once(capsys, tmp_path):
+    # As in `verify`, a repeated N runs once, at its first place.
+    path = tmp_path / "dims.json"
+    code, out, _ = run_cli(capsys, "dims", "--n", "2", "--N", "3", "--N", "2",
+                           "--N", "3", "--json-out", str(path))
+    assert code == 0
+    assert re.findall(r"^n=2 N=(\d+)$", out, re.M) == ["3", "2"]
+    assert [t["N"] for t in json.loads(path.read_text())["tables"]] == [3, 2]
+
+
 def test_dims_rows_match_the_dimension_polynomial(capsys, tmp_path):
     # The table takes f_T(N) as a product over cells, once per shape;
     # the expanded polynomial, evaluated per tableau, is the reference.
@@ -206,7 +216,7 @@ def _assert_one_line_error(code, err):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "8"],
-    ["verify", "--n", "6", "--N", "5"],  # 5**6 > DEFAULT_SIZE_CAP
+    ["verify", "--n", "6", "--N", "5"],  # 5**6 > TENSOR_MAX_DIM
     ["operator", '{"rows":[[1,2,3,4,5,6,7,8,9,10]]}'],
 ])
 def test_size_caps_refuse_before_any_work(capsys, monkeypatch, argv):

@@ -60,8 +60,8 @@ def test_construction_validation():
         AlgebraElement(3, {(1, 2): F(1)})
     with pytest.raises(ValueError):
         AlgebraElement(3, {(1, 1, 2): F(1)})
-    with pytest.raises(ValueError):
-        AlgebraElement(0)
+    with pytest.raises(SizeLimitError):
+        AlgebraElement(0)  # refused by S_0's table, like degrees past 7
 
 
 def test_degree_mismatch_errors():
@@ -363,9 +363,15 @@ def test_littlewood_counterexample():
 
 
 def test_hermitian_equals_young_up_to_two_boxes():
+    # the one base case, P_T = Y_T for n <= 2: the identity for one box,
+    # and at n = 2 what the sandwich with that identity as wings gives
     assert hermitian_young(T("1")) == AlgebraElement.one(1)
-    for text in ("12", "1/2"):
+    wings = embed_element(hermitian_young(T("1")), 2)
+    for text in ("1", "12", "1/2"):
         assert hermitian_young(T(text)) == young_operator(T(text))
+    for text in ("12", "1/2"):
+        y = young_operator(T(text))
+        assert hermitian_young(T(text)) == wings * y * wings
 
 
 def test_hermitian_12_3_expansion():
@@ -400,6 +406,20 @@ def test_hermitian_completeness_small():
         for t in enumerate_syt(n):
             total = total + hermitian_young(t)
         assert total == AlgebraElement.one(n)
+
+
+def test_leading_young_subgroup_is_s_k_in_rank_order():
+    # embed_element and partial_trace read young_subgroup([1..k]) as
+    # S_k in its own rank order, each permutation extended to fix
+    # k+1, ..., n; the extension here is built from S_k's images alone
+    for n in range(1, 7):
+        table = sn_algebra.sn_table(n)
+        for k in range(1, n + 1):
+            fixed = tuple(range(k + 1, n + 1))
+            extended = [tuple(int(x) + 1 for x in img) + fixed
+                        for img in sn_algebra.sn_table(k).images]
+            ranks = table.young_subgroup([range(1, k + 1)])
+            assert [table.perms[r] for r in ranks] == extended
 
 
 def test_embed_element():
@@ -630,12 +650,12 @@ def test_certificate_is_exact_past_float64(k, dtype):
 
 
 def test_operators_refuse_degrees_past_the_algebra_cap():
-    t = YoungTableau([list(range(1, 11))])
-    built = len(sn_algebra._HERMITIAN_CACHE)
-    for build in (young_operator, hermitian_young):
-        with pytest.raises(SizeLimitError):
-            build(t)
-    assert len(sn_algebra._HERMITIAN_CACHE) == built  # no parent was built
+    built = dict(sn_algebra._HERMITIAN_CACHE)
+    for rows in ([[1, 2, 3, 4], [5, 6, 7, 8]], [list(range(1, 11))]):
+        for build in (young_operator, hermitian_young):
+            with pytest.raises(SizeLimitError):
+                build(YoungTableau(rows))
+    assert sn_algebra._HERMITIAN_CACHE == built  # no parent was built
 
 
 # -- wire format --------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from itertools import zip_longest
 from math import factorial
 
 import numpy as np
@@ -13,7 +14,7 @@ from youngops import (
     enumerate_syt,
     partitions,
 )
-from oracles import brute_force_syt, partition_strategy
+from oracles import all_fillings, brute_force_syt, partition_strategy
 
 # Number of standard tableaux with n boxes, n = 1..7.
 SYT_TOTALS = [1, 2, 4, 10, 26, 76, 232]
@@ -151,6 +152,27 @@ def test_standardness_predicate():
     assert not YoungTableau([[2, 1, 3], [4, 5]]).is_standard()  # row falls
     assert not YoungTableau([[1, 4, 5], [2, 3]]).is_standard()  # column falls
     assert YoungTableau([[1, 3, 5], [2, 4]]).is_standard()
+
+
+def test_shape_is_the_validated_diagram():
+    for t in (YoungTableau.from_string("135/24"), *enumerate_syt(4)):
+        assert t.shape is t.shape  # kept, not rebuilt on each access
+        assert t.shape == YoungDiagram([len(r) for r in t.rows])
+
+
+def test_columns_and_parent_match_the_diagram():
+    # t.columns against the rows transposed, and parent()'s (p, q)
+    # against the removed cell's row length and column length
+    fillings = [t for n in range(1, 5) for t in all_fillings(n)]
+    standard = [t for n in range(1, 8) for t in enumerate_syt(n)]
+    for t in fillings + standard:
+        assert t.columns == tuple(tuple(x for x in col if x is not None)
+                                  for col in zip_longest(*t.rows))
+        if t.n < 2 or not t.is_standard():
+            continue
+        _, p, q = t.parent()
+        j0, k0 = t.cell_of(t.n)
+        assert (p, q) == (len(t.rows[j0 - 1]), t.shape.columns[k0 - 1])
 
 
 def test_entries_and_lookup():

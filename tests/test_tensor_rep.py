@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import youngops
 from youngops import (
     AlgebraElement,
     SizeLimitError,
+    TENSOR_MAX_DIM,
     TensorOperator,
     YoungTableau,
     compose,
@@ -21,7 +23,7 @@ from youngops import (
     realize,
     young_operator,
 )
-from youngops import tensor_rep
+from youngops import config, tensor_rep
 from youngops.config import check_tensor_size
 from oracles import (
     element_strategy,
@@ -150,6 +152,10 @@ def test_realize_rejects_oversized_space():
 
 
 def test_tensor_size_rule_edges():
+    # The cap has one name; its old name DEFAULT_SIZE_CAP is gone.
+    assert TENSOR_MAX_DIM == 4096
+    assert not hasattr(youngops, "DEFAULT_SIZE_CAP")
+    assert not hasattr(config, "DEFAULT_SIZE_CAP")
     assert check_tensor_size(1, 4096) == check_tensor_size(12, 2) == 4096
     with pytest.raises(SizeLimitError):
         check_tensor_size(1, 4097)
