@@ -105,6 +105,13 @@ def _scalar(c) -> Fraction:
     return Fraction(int(c.numerator), int(c.denominator))
 
 
+def _wire_scalar(c) -> Fraction:
+    """A coefficient read from the JSON wire format: a string ("p/q") is
+    parsed exactly, anything else follows the scalar rule, so a JSON
+    float raises TypeError rather than keeping its binary value."""
+    return Fraction(c) if isinstance(c, str) else _scalar(c)
+
+
 class _Exact:
     """num / den over an index space, canonical and immutable.
 

@@ -14,7 +14,7 @@ from itertools import zip_longest
 from numbers import Rational
 from typing import Iterable, Mapping
 
-from .exact import _scalar
+from .exact import _scalar, _wire_scalar
 
 
 class Polynomial:
@@ -149,5 +149,12 @@ class Polynomial:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Polynomial":
-        raw = {int(k): Fraction(v) for k, v in data["coeffs"].items()}
+        raw = {}
+        for k, v in data["coeffs"].items():
+            degree = int(k)
+            if degree < 0:
+                raise ValueError(f"negative degree {k!r}")
+            if degree in raw:
+                raise ValueError(f"degree {degree} appears twice")
+            raw[degree] = _wire_scalar(v)
         return cls([raw.get(k, 0) for k in range(max(raw, default=-1) + 1)])

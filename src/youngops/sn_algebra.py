@@ -40,7 +40,7 @@ import numpy as np
 
 from .config import check_algebra_size
 from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
-                    _maxabs, _scalar)
+                    _maxabs, _scalar, _wire_scalar)
 from .permutations import (
     Perm,
     cycle_count,
@@ -354,9 +354,12 @@ class AlgebraElement(_Exact):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AlgebraElement":
-        terms = {
-            tuple(t["perm"]): Fraction(t["coeff"]) for t in data["terms"]
-        }
+        terms = {}
+        for t in data["terms"]:
+            perm = tuple(t["perm"])
+            if perm in terms:
+                raise ValueError(f"permutation {perm} appears twice")
+            terms[perm] = _wire_scalar(t["coeff"])
         return cls(int(data["n"]), terms)
 
 
@@ -402,11 +405,11 @@ def antisymmetrizer(slots: Iterable[int], n: int) -> AlgebraElement:
 # -- Young operators ----------------------------------------------------------
 
 
-# Operators of standard tableaux are reused across suites and by the
-# Hermitian recursion (P_T needs Y_T and the parent P_T'), so both
-# families are memoized on the tableau's row tuple.  Concurrent inserts
-# are idempotent: the same key always maps to the same value.
-_YOUNG_CACHE: dict[tuple[tuple[int, ...], ...], AlgebraElement] = {}
+# Only P_T is memoized, on the tableau's row tuple: its sandwich
+# recursion reuses the parent P_T', and each level costs two products.
+# Y_T needs no earlier result and no product (one scatter), so it is
+# rebuilt on every call.  Concurrent inserts are idempotent: the same
+# key always maps to the same value.
 _HERMITIAN_CACHE: dict[tuple[tuple[int, ...], ...], AlgebraElement] = {}
 
 
@@ -424,17 +427,16 @@ def young_operator(t: YoungTableau, *,
     permutations and Y_T is sign(c)/|T| on each of them, written in one
     scatter through the composition table.
 
+    Y_T is rebuilt on every call, standard and forced fillings alike;
+    only P_T, whose recursion reuses its parent, is memoized.
+
     Non-standard (but bijective) fillings are rejected unless
     allow_nonstandard is set, since nearly every identity in this
     package is about standard tableaux.
     """
     n = t.n
-    cached = _YOUNG_CACHE.get(t.rows)
-    if cached is not None:
-        return cached  # only standard tableaux are ever stored
     table = sn_table(n)  # refuses n outside 1..ALGEBRA_MAX_N
-    standard = t.is_standard()
-    if not (allow_nonstandard or standard):
+    if not (allow_nonstandard or t.is_standard()):
         raise ValueError(f"tableau {t} is not standard "
                          "(pass allow_nonstandard=True to force)")
     rows = table.young_subgroup(t.rows)
@@ -447,10 +449,7 @@ def young_operator(t: YoungTableau, *,
     # |R| |C| <= n! entries, so int64 needs no bound.
     num = np.zeros(table.size, dtype=np.int64)
     num[table.comp[rows[:, None], cols]] = table.sign[cols]
-    result = AlgebraElement._new(n, num, t.shape.hook_product())
-    if standard:
-        _YOUNG_CACHE[t.rows] = result
-    return result
+    return AlgebraElement._new(n, num, t.shape.hook_product())
 
 
 def hermitian_young(t: YoungTableau) -> AlgebraElement:

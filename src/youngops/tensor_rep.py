@@ -47,7 +47,7 @@ import numpy as np
 
 from .config import check_tensor_size
 from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
-                    _maxabs)
+                    _maxabs, _wire_scalar)
 from .permutations import Perm
 from .sn_algebra import AlgebraElement, sn_table
 
@@ -287,8 +287,16 @@ class TensorOperator(_Exact):
     def from_dict(cls, data: Mapping) -> "TensorOperator":
         n, N = int(data["n"]), int(data["N"])
         dim = basis_table(n, N).dim
-        entries = [((r, c), Fraction(s)) for r, c, s in data["entries"]]
-        return cls(n, N, *_common_denominator((dim, dim), entries))
+        entries = {}
+        for r, c, s in data["entries"]:
+            if not all(type(i) is int and 0 <= i < dim for i in (r, c)):
+                raise ValueError(f"entry index ({r!r}, {c!r}) is not an "
+                                 f"integer in 0..{dim - 1}")
+            if (r, c) in entries:
+                raise ValueError(f"entry ({r}, {c}) appears twice")
+            entries[r, c] = _wire_scalar(s)
+        return cls(n, N, *_common_denominator((dim, dim),
+                                              list(entries.items())))
 
 
 def _block_matmul(basis: _BasisTable, x: np.ndarray, y: np.ndarray,

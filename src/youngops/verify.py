@@ -106,8 +106,8 @@ class VerificationReport:
 
 class _Context:
     """The degree, tensor dimensions and standard tableaux of one
-    verification run.  Operators come from the module memos of
-    young_operator and hermitian_young."""
+    verification run.  P_T comes from hermitian_young's memo, and Y_T
+    is rebuilt by young_operator's scatter."""
 
     def __init__(self, n: int, tensor_dims: Sequence[int]):
         self.n = n

@@ -110,7 +110,7 @@ def test_criterion_4_hermitian_operator_properties():
 
 
 def test_criterion_5_three_box_sum_identity():
-    # warm the caches; the criterion times the identity itself
+    # build the operators first; the criterion times the identity itself
     p1, p2 = hermitian_young(T("12/3")), hermitian_young(T("13/2"))
     y1, y2 = young_operator(T("12/3")), young_operator(T("13/2"))
 

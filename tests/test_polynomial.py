@@ -66,6 +66,24 @@ def test_json_constant_always_present():
     assert Polynomial.from_dict({"coeffs": {}}) == Polynomial.zero()
 
 
+def test_from_dict_refuses_a_float_coefficient():
+    # Fraction(0.1) would keep the binary value 3602879701896397/2**55.
+    with pytest.raises(TypeError):
+        Polynomial.from_dict({"coeffs": {"0": 0.1}})
+    assert (Polynomial.from_dict({"coeffs": {"0": 2, "1": "1/10"}})
+            == Polynomial([2, Fraction(1, 10)]))
+
+
+def test_from_dict_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="negative degree '-1'"):
+        Polynomial.from_dict({"coeffs": {"-1": "5"}})
+
+
+def test_from_dict_refuses_a_repeated_degree():
+    with pytest.raises(ValueError, match="degree 1 appears twice"):
+        Polynomial.from_dict({"coeffs": {"1": "5", "01": "6"}})
+
+
 @given(coeff_lists, coeff_lists, points)
 def test_addition_matches_pointwise(a, b, x):
     p, q = Polynomial(a), Polynomial(b)

@@ -112,8 +112,9 @@ def test_kernels_match_naive_definitions_at_every_magnitude(pair):
         assert a.partial_trace() == naive_partial_trace(a)
 
 
-def _product_path(monkeypatch, a, b):
-    """The dtypes the product kernel chose while computing a * b."""
+def _kernel_path(monkeypatch, compute, oracle):
+    """The dtypes a kernel chose while computing compute(), whose value
+    must equal the oracle's."""
     chosen = []
     real = sn_algebra._exact_dtype
 
@@ -122,9 +123,9 @@ def _product_path(monkeypatch, a, b):
         return chosen[-1]
 
     monkeypatch.setattr(sn_algebra, "_exact_dtype", spy)
-    product = a * b
+    value = compute()
     monkeypatch.undo()
-    assert product == naive_multiply(a, b)
+    assert value == oracle
     return set(chosen)
 
 
@@ -142,7 +143,23 @@ def test_product_bound_edges(monkeypatch, limit, below, above):
     for b_max, path in ((B, below), (B + 1, above)):
         assert (2 * A * b_max < limit) == (path is below)
         b = AlgebraElement(3, {e: b_max, t: b_max - 1})
-        assert _product_path(monkeypatch, a, b) == {path}
+        assert _kernel_path(monkeypatch, lambda: a * b,
+                            naive_multiply(a, b)) == {path}
+
+
+@pytest.mark.parametrize("limit, below, above", [
+    (2 ** 53, np.float64, np.int64),
+    (2 ** 63, np.int64, object),
+])
+def test_trace_polynomial_bound_edges(monkeypatch, limit, below, above):
+    # a = M (12) + (M-1) (13): both have two cycles, so the N^2
+    # coefficient sums both terms, and the bound max|num| * |supp num|
+    # is 2 M: limit - 2 just below the edge and limit at it.
+    for M, path in ((limit // 2 - 1, below), (limit // 2, above)):
+        assert (2 * M < limit) == (path is below)
+        a = AlgebraElement(3, {(2, 1, 3): M, (3, 2, 1): M - 1})
+        assert _kernel_path(monkeypatch, a.trace_polynomial,
+                            naive_trace_polynomial(a)) == {path}
 
 
 @pytest.mark.parametrize("offset", [-1, 1])
@@ -331,10 +348,10 @@ def test_young_operator_rejects_nonstandard_by_default():
     forced = young_operator(bad, allow_nonstandard=True)
     assert not forced.is_zero()
     assert forced != young_operator(T("12/3"))
-    # the operator memo keeps standard tableaux only
+    # a forced build leaves nothing behind: the default still refuses
     with pytest.raises(ValueError):
         young_operator(bad)
-    assert young_operator(T("12/3")) is young_operator(T("12/3"))
+    assert young_operator(T("12/3")) == young_operator(T("12/3"))
 
 
 def test_young_operators_are_idempotent():
@@ -669,6 +686,22 @@ def test_element_json_round_trip():
     perms = [tuple(t["perm"]) for t in d["terms"]]
     assert perms == sorted(perms)
     assert AlgebraElement.from_dict(d) == y
+
+
+def test_element_from_dict_refuses_a_float_coefficient():
+    # Fraction(0.1) would keep the binary value 3602879701896397/2**55.
+    d = {"n": 2, "terms": [{"perm": [2, 1], "coeff": 0.1}]}
+    with pytest.raises(TypeError):
+        AlgebraElement.from_dict(d)
+    d["terms"][0]["coeff"] = 3  # a JSON integer is exact
+    assert AlgebraElement.from_dict(d) == perm_el(2, 1).scale(3)
+
+
+def test_element_from_dict_refuses_a_repeated_permutation():
+    d = {"n": 2, "terms": [{"perm": [2, 1], "coeff": "1"},
+                           {"perm": [2, 1], "coeff": "2"}]}
+    with pytest.raises(ValueError, match=r"\(2, 1\) appears twice"):
+        AlgebraElement.from_dict(d)
 
 
 def test_polynomial_coefficients_raise_type_error():

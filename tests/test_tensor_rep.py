@@ -659,3 +659,32 @@ def test_matrix_json_round_trip():
 def test_matrix_json_of_swap():
     d = permutation_matrix((2, 1), 2).to_dict()
     assert d["entries"] == [[0, 0, "1"], [1, 2, "1"], [2, 1, "1"], [3, 3, "1"]]
+
+
+def test_matrix_from_dict_refuses_a_float_coefficient():
+    # Fraction(0.1) would keep the binary value 3602879701896397/2**55.
+    with pytest.raises(TypeError):
+        TensorOperator.from_dict({"n": 2, "N": 2, "entries": [[0, 0, 0.1]]})
+    m = TensorOperator.from_dict({"n": 2, "N": 2, "entries": [[0, 0, 3]]})
+    assert m.entry(0, 0) == 3
+
+
+def test_matrix_from_dict_refuses_a_negative_index():
+    # numpy would wrap -1 to the last row and column, entry (3, 3)
+    with pytest.raises(ValueError, match=r"\(-1, -1\) is not an integer"):
+        TensorOperator.from_dict({"n": 2, "N": 2, "entries": [[-1, -1, "1"]]})
+
+
+@pytest.mark.parametrize("index", [4, 2 ** 70, 1.0, "1", True, None])
+def test_matrix_from_dict_refuses_an_index_outside_the_basis(index):
+    # numpy indexing would raise IndexError, or spread True and None over
+    # whole rows
+    with pytest.raises(ValueError, match=r"not an integer in 0\.\.3"):
+        TensorOperator.from_dict({"n": 2, "N": 2,
+                                  "entries": [[index, index, "1"]]})
+
+
+def test_matrix_from_dict_refuses_a_repeated_entry():
+    d = {"n": 2, "N": 2, "entries": [[1, 2, "1"], [1, 2, "2"]]}
+    with pytest.raises(ValueError, match=r"entry \(1, 2\) appears twice"):
+        TensorOperator.from_dict(d)
