@@ -12,8 +12,13 @@ n! and tensor realizations like N^(2n).  There are three caps:
 - `TENSOR_MAX_DIM` bounds N**n, the dimension of (C^N)^(x n).  It is
   fixed, and every tensor entry point meets it in `check_tensor_size`
   before it allocates anything.
+
+Each gate reads its degree and dimension by the integer rule
+(`exact._integer`) first, so a non-integer raises TypeError here.
 """
 from __future__ import annotations
+
+from .exact import _integer
 
 # Largest n for tableau enumeration: 9,496 standard tableaux at n = 10,
 # the dimension table CI pins, against 35,696 at n = 11.
@@ -33,24 +38,25 @@ class SizeLimitError(ValueError):
 
 
 def check_algebra_size(n: int) -> None:
-    """Reject degrees outside 1..ALGEBRA_MAX_N."""
-    if not 1 <= n <= ALGEBRA_MAX_N:
+    """Reject non-integers and degrees outside 1..ALGEBRA_MAX_N."""
+    if not 1 <= _integer(n) <= ALGEBRA_MAX_N:
         raise SizeLimitError(
             f"A(S_{n}) is outside the supported degrees 1..{ALGEBRA_MAX_N}: "
             f"elements are stored over all n! permutations")
 
 
 def check_tableau_size(n: int) -> None:
-    """Reject n outside 1..TABLEAU_MAX_N."""
-    if not 1 <= n <= TABLEAU_MAX_N:
+    """Reject non-integers and n outside 1..TABLEAU_MAX_N."""
+    if not 1 <= _integer(n) <= TABLEAU_MAX_N:
         raise SizeLimitError(
             f"n={n} is outside the supported tableau sizes "
             f"1..{TABLEAU_MAX_N}")
 
 
 def check_tensor_size(n: int, N: int) -> int:
-    """N**n, the dimension of (C^N)^(x n); reject n < 0, N < 1 and N**n
-    beyond TENSOR_MAX_DIM."""
+    """N**n, the dimension of (C^N)^(x n); reject non-integers, n < 0,
+    N < 1 and N**n beyond TENSOR_MAX_DIM."""
+    n, N = _integer(n), _integer(N)
     if n < 0 or N < 1:
         raise ValueError(f"need n >= 0 and N >= 1, got n={n}, N={N}")
     dim = N ** n

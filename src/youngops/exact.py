@@ -16,12 +16,17 @@ elementwise on `num`: sums, differences, negation, scaling by a
 hashing and truth on the canonical form, and one witness of
 inequality, `first_difference`.  Products, traces and views stay with
 the subclass.
+
+Everything read from outside follows two rules kept here: `_integer`
+for integers (degrees, dimensions, indices, tableau entries and
+permutation entries) and `_scalar` for exact scalars.  Neither accepts
+a bool or truncates a float.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
+from numbers import Integral, Rational
 
 import numpy as np
 
@@ -91,16 +96,28 @@ def _common_denominator(shape: int | tuple[int, ...],
     return num, den
 
 
+def _integer(x: object) -> int:
+    """x as an int: an int or other numbers.Integral, numpy integers
+    included; anything else, a bool included, raises TypeError rather
+    than being truncated.  The package's one integer rule; int takes a
+    fast path."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def _scalar(c) -> Fraction:
     """c as a Fraction of Python integers: exact scalars are the
-    numbers.Rational values, numpy integers included; anything else
-    raises TypeError.  The package's one scalar rule, shared with
-    `polynomial`; int and Fraction take a fast path."""
+    numbers.Rational values, numpy integers included, but not bool;
+    anything else raises TypeError.  The package's one scalar rule,
+    shared with `polynomial`; int and Fraction take a fast path."""
     if type(c) is Fraction:
         return c
     if type(c) is int:
         return Fraction(c)
-    if not isinstance(c, Rational):
+    if isinstance(c, bool) or not isinstance(c, Rational):
         raise TypeError(f"bad scalar type {type(c).__name__}")
     return Fraction(int(c.numerator), int(c.denominator))
 

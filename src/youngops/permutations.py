@@ -8,7 +8,7 @@ permutes the factors of a tensor product.
 from __future__ import annotations
 
 from itertools import permutations as _itertools_permutations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Perm = tuple[int, ...]
 
@@ -74,17 +74,3 @@ def all_permutations(n: int) -> Iterator[Perm]:
     """All n! permutations of 1..n in lexicographic one-line order."""
     return _itertools_permutations(range(1, n + 1))
 
-
-def perms_of(values: Iterable[int], n: int) -> Iterator[Perm]:
-    """Permutations of 1..n moving only the given values (all others fixed).
-
-    Yields one permutation per rearrangement of `values` among their own
-    positions: the subgroup of S_n supported on that subset.
-    """
-    vals = sorted(values)
-    base = list(range(1, n + 1))
-    for image in _itertools_permutations(vals):
-        p = base.copy()
-        for v, w in zip(vals, image):
-            p[v - 1] = w
-        yield tuple(p)

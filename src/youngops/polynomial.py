@@ -5,7 +5,8 @@ trace of a permutation operator on (C^N)^(x n) gives N**cycles, so traces
 of group-algebra elements are polynomials in N with Fraction coefficients.
 
 Coefficients, scalar operands and evaluation points follow the one
-scalar rule, `exact._scalar`: a `numbers.Rational`, else TypeError.
+scalar rule, `exact._scalar`: a `numbers.Rational` other than bool,
+else TypeError.
 """
 from __future__ import annotations
 
@@ -51,9 +52,9 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, Rational):
+        if isinstance(other, Rational) and not isinstance(other, bool):
             return self == Polynomial([other])
-        return NotImplemented
+        return NotImplemented  # a bool is no scalar, so never equal
 
     def __hash__(self) -> int:
         # A constant equals its Fraction, so it must hash like one.
@@ -149,12 +150,13 @@ class Polynomial:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Polynomial":
+        """Read `to_dict`'s form.  A degree key must be in canonical
+        decimal form, ASCII digits with no sign, space or leading zero,
+        so no two keys name one degree."""
         raw = {}
         for k, v in data["coeffs"].items():
-            degree = int(k)
-            if degree < 0:
-                raise ValueError(f"negative degree {k!r}")
-            if degree in raw:
-                raise ValueError(f"degree {degree} appears twice")
-            raw[degree] = _wire_scalar(v)
+            if not (isinstance(k, str) and k.isascii() and k.isdigit()
+                    and (k == "0" or k[0] != "0")):
+                raise ValueError(f"non-canonical or negative degree {k!r}")
+            raw[int(k)] = _wire_scalar(v)
         return cls([raw.get(k, 0) for k in range(max(raw, default=-1) + 1)])

@@ -40,7 +40,7 @@ import numpy as np
 
 from .config import check_algebra_size
 from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
-                    _maxabs, _scalar, _wire_scalar)
+                    _integer, _maxabs, _scalar, _wire_scalar)
 from .permutations import (
     Perm,
     cycle_count,
@@ -84,7 +84,6 @@ class _SnTable:
         self.n = n
         self.perms: list[Perm] = list(_permutations(range(1, n + 1)))
         self.size = len(self.perms)
-        self.rank: dict[Perm, int] = {p: i for i, p in enumerate(self.perms)}
         self.images = np.array(self.perms, dtype=np.intp).reshape(self.size, n) - 1
         self._weights = n ** np.arange(n - 1, -1, -1)
         self._rank_of_code = np.zeros(n ** n, dtype=np.int16)
@@ -96,6 +95,23 @@ class _SnTable:
     def ranks(self, images: np.ndarray) -> np.ndarray:
         """Ranks of the permutations given as rows of 0-based images."""
         return self._rank_of_code[images @ self._weights]
+
+    def checked_ranks(self, perms: Iterable[Sequence[int]]) -> np.ndarray:
+        """Ranks of the given permutations, after the permutation check:
+        every entry follows the integer rule (else TypeError), and every
+        permutation must be a bijection of 1..n (else ValueError).  The
+        bijection test comes first, because `_rank_of_code` reads 0, the
+        identity, for a code that is no permutation; then all are ranked
+        in one `ranks` call."""
+        want = list(range(1, self.n + 1))
+        rows = []
+        for p in perms:
+            p = tuple(_integer(x) for x in p)
+            if sorted(p) != want:
+                raise ValueError(f"not a permutation of 1..{self.n}: {p}")
+            rows.append(p)
+        images = np.array(rows, dtype=np.intp).reshape(len(rows), self.n)
+        return self.ranks(images - 1)
 
     @cached_property
     def classes(self) -> np.ndarray:
@@ -214,15 +230,9 @@ class AlgebraElement(_Exact):
 
     def __init__(self, n: int, terms: Mapping[Perm, Scalar] = ()):
         table = sn_table(n)
-        coeffs: list[tuple[int, Fraction]] = []
-        for p, c in dict(terms).items():
-            rank = table.rank.get(tuple(p))
-            if rank is None:
-                if len(p) != n:
-                    raise ValueError(
-                        f"permutation {p} has degree {len(p)}, expected {n}")
-                raise ValueError(f"not a permutation of 1..{n}: {tuple(p)}")
-            coeffs.append((rank, _scalar(c)))
+        terms = dict(terms)
+        coeffs = [(rank, _scalar(c)) for rank, c in
+                  zip(table.checked_ranks(terms).tolist(), terms.values())]
         self.n, self._terms = n, None
         self._store(*_common_denominator(table.size, coeffs))
 
@@ -268,10 +278,9 @@ class AlgebraElement(_Exact):
         return self._terms
 
     def coefficient(self, p: Perm) -> Fraction:
-        rank = sn_table(self.n).rank.get(tuple(p))
-        if rank is None or not self.num[rank]:
-            return Fraction(0)
-        return self._coeff_at(rank)
+        """The coefficient of p, which must pass the permutation check
+        (`_SnTable.checked_ranks`)."""
+        return self._coeff_at(sn_table(self.n).checked_ranks([p])[0])
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.num))
@@ -360,7 +369,7 @@ class AlgebraElement(_Exact):
             if perm in terms:
                 raise ValueError(f"permutation {perm} appears twice")
             terms[perm] = _wire_scalar(t["coeff"])
-        return cls(int(data["n"]), terms)
+        return cls(_integer(data["n"]), terms)
 
 
 def embed_element(a: AlgebraElement, n: int) -> AlgebraElement:

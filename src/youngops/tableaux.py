@@ -13,21 +13,11 @@ the shape tie-break puts wider shapes first: 123, 12/3, 1/2/3, 13/2.
 from __future__ import annotations
 
 from math import factorial, prod
-from numbers import Integral
 from typing import Iterator, Mapping, Sequence
 
 from .config import check_tableau_size
+from .exact import _integer
 from .polynomial import Polynomial
-
-
-def _integer(x: object) -> int:
-    """x as an int; anything but an integer (bool included) raises
-    TypeError rather than being truncated.  int takes a fast path."""
-    if type(x) is int:
-        return x
-    if isinstance(x, bool) or not isinstance(x, Integral):
-        raise TypeError(f"expected an integer, got {x!r}")
-    return int(x)
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:

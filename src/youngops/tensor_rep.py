@@ -47,7 +47,7 @@ import numpy as np
 
 from .config import check_tensor_size
 from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
-                    _maxabs, _wire_scalar)
+                    _integer, _maxabs, _wire_scalar)
 from .permutations import Perm
 from .sn_algebra import AlgebraElement, sn_table
 
@@ -285,11 +285,12 @@ class TensorOperator(_Exact):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TensorOperator":
-        n, N = int(data["n"]), int(data["N"])
+        n, N = _integer(data["n"]), _integer(data["N"])
         dim = basis_table(n, N).dim
         entries = {}
         for r, c, s in data["entries"]:
-            if not all(type(i) is int and 0 <= i < dim for i in (r, c)):
+            r, c = _integer(r), _integer(c)
+            if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"entry index ({r!r}, {c!r}) is not an "
                                  f"integer in 0..{dim - 1}")
             if (r, c) in entries:

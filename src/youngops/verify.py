@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .config import check_algebra_size, check_tensor_size
-from .exact import _Exact
+from .exact import _Exact, _integer
 from .polynomial import Polynomial
 from .sn_algebra import (
     AlgebraElement,
@@ -373,8 +373,8 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
                      suites: Sequence[str] | None = None) -> VerificationReport:
     """Run the requested suites (default: `default_suites(n)`) and
     return a fully sorted report.  Size caps are checked before any
-    work: n against ALGEBRA_MAX_N and, with the tensor suite, each N**n
-    by `check_tensor_size`."""
+    work: n against ALGEBRA_MAX_N, each N by the integer rule and, with
+    the tensor suite, each N**n by `check_tensor_size`."""
     check_algebra_size(n)
     if suites is None:
         chosen = default_suites(n)
@@ -385,7 +385,8 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
                 raise UnknownSuiteError(
                     f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     # A repeated N runs once, at its first place.
-    dims = tuple(dict.fromkeys(tensor_dims or DEFAULT_TENSOR_DIMS))
+    dims = tuple(dict.fromkeys(
+        _integer(N) for N in tensor_dims or DEFAULT_TENSOR_DIMS))
     for N in dims:
         if N < 1:
             raise ValueError(f"N must be positive, got {N}")

@@ -21,7 +21,19 @@ from youngops import (
     partitions,
     sign,
 )
-from youngops.permutations import perms_of
+
+
+def perms_of(values, n):
+    """Permutations of 1..n moving only the given values (all others
+    fixed): one per rearrangement of `values` among their own positions,
+    the subgroup of S_n supported on that subset."""
+    vals = sorted(values)
+    base = list(range(1, n + 1))
+    for image in it_permutations(vals):
+        p = base.copy()
+        for v, w in zip(vals, image):
+            p[v - 1] = w
+        yield tuple(p)
 
 
 def all_fillings(n):

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import hashlib
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -9,8 +11,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from youngops import enumerate_syt, tableaux, verify
+from youngops import (AlgebraElement, Polynomial, YoungTableau,
+                      enumerate_syt, hermitian_young, tableaux, verify)
 from youngops.cli import main
+
+STDOUT_PINS = pathlib.Path(__file__).resolve().parents[1] / ".github" / "stdout"
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +65,36 @@ def test_trace_known_polynomial(capsys):
     code, out, _ = run_cli(capsys, "trace", "12/3")
     assert code == 0
     assert out == '{"coeffs":{"0":"0","1":"-1/3","3":"1/3"}}\n'
+
+
+def _read_tableaux(data):
+    return [YoungTableau.from_dict(d) for d in data]
+
+
+# The wire-format writers pinned in CI: pin name, argv, the reader of
+# the output and the value the library builds.
+WIRE_PINS = [
+    ("tableaux-n4", ["tableaux", "--n", "4"], _read_tableaux,
+     lambda: enumerate_syt(4)),
+    ("operator-hermitian-135-24", ["operator", "135/24", "--kind", "hermitian"],
+     AlgebraElement.from_dict,
+     lambda: hermitian_young(YoungTableau.from_string("135/24"))),
+    ("trace-hermitian-135-24", ["trace", "135/24", "--kind", "hermitian"],
+     Polynomial.from_dict,
+     lambda: hermitian_young(
+         YoungTableau.from_string("135/24")).trace_polynomial()),
+]
+
+
+@pytest.mark.parametrize("name, argv, read, build", WIRE_PINS,
+                         ids=[pin[0] for pin in WIRE_PINS])
+def test_wire_output_matches_its_pin_and_reads_back(capsys, name, argv,
+                                                    read, build):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    pin = (STDOUT_PINS / f"{name}.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+    assert read(json.loads(out)) == build()
 
 
 def test_dims_table(capsys):

@@ -11,10 +11,10 @@ from youngops.permutations import (
     cycles,
     identity,
     inverse,
-    perms_of,
     sign,
     transposition,
 )
+from oracles import perms_of
 
 perm3 = st.permutations(range(1, 4)).map(tuple)
 perm5 = st.permutations(range(1, 6)).map(tuple)
@@ -82,6 +82,7 @@ def test_all_permutations_counts():
 
 
 def test_perms_of_is_the_subgroup_on_the_subset():
+    # perms_of is the test oracle behind naive_subset_sum
     moved = list(perms_of([2, 4], 4))
     assert sorted(moved) == [(1, 2, 3, 4), (1, 4, 3, 2)]
     assert len(list(perms_of([1, 3, 5], 5))) == 6

@@ -79,9 +79,13 @@ def test_from_dict_refuses_a_negative_degree():
         Polynomial.from_dict({"coeffs": {"-1": "5"}})
 
 
-def test_from_dict_refuses_a_repeated_degree():
-    with pytest.raises(ValueError, match="degree 1 appears twice"):
-        Polynomial.from_dict({"coeffs": {"1": "5", "01": "6"}})
+@pytest.mark.parametrize("key", [" 3", "+3", "03", "\u0663", "3.0", "", 3])
+def test_from_dict_refuses_a_non_canonical_degree(key):
+    # int() would read the first four as 3 ("\u0663" is Arabic-Indic
+    # three), so "3" and "03" could name one degree twice
+    with pytest.raises(ValueError, match="non-canonical or negative degree"):
+        Polynomial.from_dict({"coeffs": {key: "5"}})
+    assert Polynomial.from_dict({"coeffs": {"3": "5"}}) == Polynomial.monomial(3, 5)
 
 
 @given(coeff_lists, coeff_lists, points)
@@ -106,6 +110,7 @@ def test_constant_hashes_like_its_fraction():
     assert Polynomial([3]) == 3 and hash(Polynomial([3])) == hash(3)
     assert hash(Polynomial([Fraction(1, 2)])) == hash(Fraction(1, 2))
     assert hash(Polynomial.zero()) == hash(0)
+    assert Polynomial([1]) != True  # a bool is no scalar, so never equal
 
 
 def test_numpy_integers_are_exact_scalars():

@@ -64,6 +64,16 @@ def test_construction_validation():
         AlgebraElement(0)  # refused by S_0's table, like degrees past 7
 
 
+def test_coefficient_checks_the_permutation():
+    # the coefficient of a permutation outside S_n is an error, not 0
+    e = AlgebraElement(2, {(2, 1): F(1, 2)})
+    assert e.coefficient((2, 1)) == F(1, 2) and e.coefficient((1, 2)) == 0
+    for bad in [(1, 2, 3), (1,), (1, 1), (0, 1), (2, 3)]:
+        with pytest.raises(ValueError):
+            e.coefficient(bad)
+    assert e.coefficient((np.int64(2), np.int64(1))) == F(1, 2)
+
+
 def test_degree_mismatch_errors():
     a, b = AlgebraElement.one(3), AlgebraElement.one(4)
     for op in (lambda: a + b, lambda: a - b, lambda: a * b):

@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given
 
 from youngops import (
+    AlgebraElement,
     Polynomial,
     SizeLimitError,
     TABLEAU_MAX_N,
+    TensorOperator,
     YoungDiagram,
     YoungTableau,
     enumerate_syt,
     partitions,
+    run_verification,
 )
+from youngops.config import (check_algebra_size, check_tableau_size,
+                             check_tensor_size)
 from oracles import all_fillings, brute_force_syt, partition_strategy
 
 # Number of standard tableaux with n boxes, n = 1..7.
@@ -139,12 +144,65 @@ def test_numpy_integer_entries_equal_int_entries():
     assert d64 == t.shape and hash(d64) == hash(t.shape)
 
 
-@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def _element(n=2, perm=(2, 1), coeff="1"):
+    return {"n": n, "terms": [{"perm": list(perm), "coeff": coeff}]}
+
+
+def _matrix(n=2, N=2, index=0, coeff="1"):
+    return {"n": n, "N": N, "entries": [[index, index, coeff]]}
+
+
+# Every reader and constructor of an integer from outside, with the bad
+# value in one integer slot: each follows the integer rule.
+_INTEGER_SLOTS = {
+    "tableau entry": lambda x: YoungTableau([[x]]),
+    "diagram row": lambda x: YoungDiagram([x]),
+    "enumerate_syt n": enumerate_syt,
+    "element perm entry": lambda x: AlgebraElement(2, {(2, x): 1}),
+    "coefficient perm entry":
+        lambda x: AlgebraElement.one(2).coefficient((2, x)),
+    "element wire n": lambda x: AlgebraElement.from_dict(_element(n=x)),
+    "element wire perm entry":
+        lambda x: AlgebraElement.from_dict(_element(perm=(2, x))),
+    "matrix wire n": lambda x: TensorOperator.from_dict(_matrix(n=x)),
+    "matrix wire N": lambda x: TensorOperator.from_dict(_matrix(N=x)),
+    "matrix wire index": lambda x: TensorOperator.from_dict(_matrix(index=x)),
+    "check_algebra_size": check_algebra_size,
+    "check_tableau_size": check_tableau_size,
+    "check_tensor_size n": lambda x: check_tensor_size(x, 2),
+    "check_tensor_size N": lambda x: check_tensor_size(2, x),
+    "run_verification n": run_verification,
+    "run_verification N": lambda x: run_verification(2, tensor_dims=[x]),
+}
+# The scalar rule refuses the same values, strings included.
+_SCALAR_SLOTS = {
+    "element coefficient": lambda x: AlgebraElement(2, {(2, 1): x}),
+    "polynomial coefficient": lambda x: Polynomial([x]),
+}
+# The wire format reads a string coefficient as "p/q", so "2" is a value
+# there; every other bad value is refused.
+_WIRE_SCALAR_SLOTS = {
+    "element wire coeff":
+        lambda x: AlgebraElement.from_dict(_element(coeff=x)),
+    "matrix wire coeff": lambda x: TensorOperator.from_dict(_matrix(coeff=x)),
+    "polynomial wire coeff":
+        lambda x: Polynomial.from_dict({"coeffs": {"0": x}}),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", 2.9, "2", None])
 def test_non_integer_entries_are_refused(bad):
-    with pytest.raises(TypeError):
-        YoungTableau([[bad]])
-    with pytest.raises(TypeError):
-        YoungDiagram([bad])
+    slots = {**_INTEGER_SLOTS, **_SCALAR_SLOTS}
+    if not isinstance(bad, str):
+        slots.update(_WIRE_SCALAR_SLOTS)
+    read = []
+    for name, call in slots.items():
+        try:
+            call(bad)
+        except TypeError:
+            continue
+        read.append(name)
+    assert read == []
 
 
 def test_standardness_predicate():

@@ -678,8 +678,11 @@ def test_matrix_from_dict_refuses_a_negative_index():
 @pytest.mark.parametrize("index", [4, 2 ** 70, 1.0, "1", True, None])
 def test_matrix_from_dict_refuses_an_index_outside_the_basis(index):
     # numpy indexing would raise IndexError, or spread True and None over
-    # whole rows
-    with pytest.raises(ValueError, match=r"not an integer in 0\.\.3"):
+    # whole rows; a non-integer fails the integer rule first
+    error, match = ((ValueError, r"not an integer in 0\.\.3")
+                    if type(index) is int else
+                    (TypeError, "expected an integer"))
+    with pytest.raises(error, match=match):
         TensorOperator.from_dict({"n": 2, "N": 2,
                                   "entries": [[index, index, "1"]]})
 
