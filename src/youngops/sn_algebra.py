@@ -9,7 +9,8 @@ numerators are int64 whenever every entry fits and Python integers
 of every exact value (`exact._Exact`).  What depends on n alone -- the
 permutations in rank order, the composition table, the inverse,
 cycle-count and sign vectors, and the index maps of embedding and
-partial trace -- is held by one table per n, built on first use.
+partial trace -- is held by one table per n, each part built on first
+use: the composition table by the first product, its one reader.
 
 A product gathers, for each nonzero a_i, the row of b that sigma_i
 maps onto each target permutation (through the composition table
@@ -20,18 +21,18 @@ float64, which is then exact; below 2**63 it runs in int64, and past
 that on Python integers.  Every other fast path carries a bound of the
 same kind, so results are always exact.
 
-On top of the product this module builds (anti)symmetrizers,
-Young operators Y_T, their Hermitian counterparts P_T, the *-involution,
-trace polynomials in the tensor dimension N, and the algebraic partial
-trace over the last slot.  That trace is linear in N (a fixed point of
-the last slot contributes a factor N), so it returns the pair (A, B) of
-rational elements with tr' X = N A + B, and every coefficient stays
-rational.
+This module builds (anti)symmetrizers and Young operators Y_T from
+permutation images alone, Hermitian counterparts P_T by products, the
+*-involution, trace polynomials in the tensor dimension N, and the
+partial trace over the last slot.  That trace is linear in N (a fixed
+point of the last slot contributes a factor N), so it returns the pair
+(A, B) of rational elements with tr' X = N A + B, and every
+coefficient stays rational.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cached_property, lru_cache
 from itertools import permutations as _permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -134,25 +135,19 @@ class _SnTable:
         blocks B of 1..n: the permutations mapping every block onto
         itself.
 
-        Each block's group is S_k written into the block's slots, in
-        S_k's rank order, and ranked in one call; so the single block
-        1..k gives S_k extended to fix k+1, ..., n, in that order, as
-        `embed_element` and `partial_trace` need.  Disjoint blocks
-        commute, so their groups are chained through `comp`, each
-        element arising once.
+        Disjoint blocks commute, so the group is the product of each
+        block's S_k images written into its slots, g-major and h-minor,
+        each element once, ranked in one call.  The single block 1..k
+        thus gives S_k fixing k+1, ..., n, in S_k's rank order, as
+        `embed_element` and `partial_trace` need.
         """
-        groups = []
+        images = np.arange(self.n)[None]
         for block in blocks:
-            if len(block) < 2:
-                continue  # Sym of one slot is trivial
             slots = np.asarray(block, dtype=np.intp) - 1
             low = sn_table(len(slots)).images
-            images = np.tile(np.arange(self.n), (len(low), 1))
-            images[:, slots] = slots[low]
-            groups.append(self.ranks(images))
-        if not groups:
-            return np.zeros(1, dtype=np.intp)  # rank 0 is the identity
-        return reduce(lambda g, h: self.comp[g[:, None], h].ravel(), groups)
+            images = np.repeat(images, len(low), axis=0)
+            images[:, slots] = np.tile(slots[low], (len(images) // len(low), 1))
+        return self.ranks(images)
 
     @cached_property
     def splice(self) -> np.ndarray:
@@ -171,10 +166,13 @@ class _SnTable:
         return moved.reshape(-1, last).T
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def sn_table(n: int) -> _SnTable:
-    """The table of S_n, built on first use and kept for the process."""
-    return _SnTable(n)
+    """The table of S_n, built on first use and kept for the process.
+    An int n builds it, any other integer gets its int's table, the rest
+    fail the integer rule; keys are typed, as 3.0 == np.int64(3)."""
+    m = _integer(n)
+    return _SnTable(m) if m is n else sn_table(m)
 
 
 # -- exact integer kernels ------------------------------------------------------
@@ -233,7 +231,7 @@ class AlgebraElement(_Exact):
         terms = dict(terms)
         coeffs = [(rank, _scalar(c)) for rank, c in
                   zip(table.checked_ranks(terms).tolist(), terms.values())]
-        self.n, self._terms = n, None
+        self.n, self._terms = table.n, None
         self._store(*_common_denominator(table.size, coeffs))
 
     def _space(self) -> tuple[int]:
@@ -434,7 +432,7 @@ def young_operator(t: YoungTableau, *,
     No algebra product is formed: the row group R and the column group C
     meet only in the identity, so the |R| |C| products rc are distinct
     permutations and Y_T is sign(c)/|T| on each of them, written in one
-    scatter through the composition table.
+    scatter at the ranks of the composed images r(c(x)).
 
     Y_T is rebuilt on every call, standard and forced fillings alike;
     only P_T, whose recursion reuses its parent, is memoized.
@@ -456,8 +454,9 @@ def young_operator(t: YoungTableau, *,
     # fixes every entry: R n C = {e}, hence r = r' and c = c'.  Every
     # numerator is therefore +-1, written once, and the index array has
     # |R| |C| <= n! entries, so int64 needs no bound.
+    rc = table.images[rows][:, table.images[cols]]  # rc[i, j, x] = r_i(c_j(x))
     num = np.zeros(table.size, dtype=np.int64)
-    num[table.comp[rows[:, None], cols]] = table.sign[cols]
+    num[table.ranks(rc)] = table.sign[cols]
     return AlgebraElement._new(n, num, t.shape.hook_product())
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -135,8 +134,8 @@ class TensorOperator(_Exact):
     Stored as num / den, the integer matrix `num` over a positive
     denominator (see `exact`), with the entries of its diagonal weight
     blocks kept as one flat vector.  The constructor takes `num` of any
-    integer dtype, or object dtype holding integers, and `den` an
-    integer; anything else raises TypeError rather than being truncated.
+    integer dtype but bool, or object dtype holding integers, and `den`
+    an integer (`exact._integer`); anything else raises TypeError.
     A nonzero entry off the weight blocks raises ValueError.  It copies
     `num`, so operators are immutable values.
     """
@@ -147,11 +146,12 @@ class TensorOperator(_Exact):
         basis = basis_table(n, N)
         if num.shape != (basis.dim,) * 2:
             raise ValueError(f"matrix shape {num.shape} != {(basis.dim,) * 2}")
-        if not isinstance(den, Integral):
-            raise TypeError(f"denominator must be an integer, got {den!r}")
-        if num.dtype.kind not in "biuO" or (num.dtype == object and not all(
-                isinstance(v, Integral) for v in num.flat)):
-            raise TypeError("numerators must be integers")
+        den = _integer(den)
+        if num.dtype.kind not in "iuO":
+            raise TypeError(f"numerators must be integers, not {num.dtype}")
+        if num.dtype == object:
+            for v in num.flat:
+                _integer(v)
         rows, cols = np.nonzero(num)
         off = np.flatnonzero(basis.weight[rows] != basis.weight[cols])
         if off.size:
@@ -160,7 +160,7 @@ class TensorOperator(_Exact):
         # -2**63 fits int64, but its magnitude does not.
         wide = num.dtype == np.int64 and num.size and num.min() == -_I64_EXACT
         self.n, self.N = n, N
-        self._store(num.astype(object) if wide else num, int(den))
+        self._store(num.astype(object) if wide else num, den)
 
     def _space(self) -> tuple[int, int]:
         return (self.n, self.N)

@@ -36,6 +36,13 @@ def perms_of(values, n):
         yield tuple(p)
 
 
+def naive_young_subgroup(blocks, n):
+    """The permutations of 1..n mapping every block onto itself, found
+    by testing all n! of them."""
+    return {p for p in it_permutations(range(1, n + 1))
+            if all({p[v - 1] for v in b} == set(b) for b in blocks)}
+
+
 def all_fillings(n):
     """Every bijective filling of every shape with n boxes, standard or
     not.  Exponential; keep n small."""

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from youngops import (AlgebraElement, Polynomial, YoungTableau,
-                      enumerate_syt, hermitian_young, tableaux, verify)
+                      enumerate_syt, hermitian_young, tableaux, verify,
+                      young_operator)
 from youngops.cli import main
 
 STDOUT_PINS = pathlib.Path(__file__).resolve().parents[1] / ".github" / "stdout"
@@ -79,6 +80,9 @@ WIRE_PINS = [
     ("operator-hermitian-135-24", ["operator", "135/24", "--kind", "hermitian"],
      AlgebraElement.from_dict,
      lambda: hermitian_young(YoungTableau.from_string("135/24"))),
+    ("operator-conventional-1234-567", ["operator", "1234/567"],
+     AlgebraElement.from_dict,
+     lambda: young_operator(YoungTableau.from_string("1234/567"))),
     ("trace-hermitian-135-24", ["trace", "135/24", "--kind", "hermitian"],
      Polynomial.from_dict,
      lambda: hermitian_young(

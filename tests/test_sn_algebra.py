@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
@@ -32,6 +34,7 @@ from oracles import (
     naive_primitive,
     naive_subset_sum,
     naive_trace_polynomial,
+    naive_young_subgroup,
 )
 
 F = Fraction
@@ -447,6 +450,42 @@ def test_leading_young_subgroup_is_s_k_in_rank_order():
                         for img in sn_algebra.sn_table(k).images]
             ranks = table.young_subgroup([range(1, k + 1)])
             assert [table.perms[r] for r in ranks] == extended
+
+
+def test_young_subgroup_matches_brute_force():
+    # The row and column groups of every filling up to n = 4 and every
+    # standard tableau up to n = 6, each permutation listed once.
+    cases = [t for n in range(1, 5) for t in all_fillings(n)]
+    cases += [t for n in range(5, 7) for t in enumerate_syt(n)]
+    for t in cases:
+        table = sn_algebra.sn_table(t.n)
+        for blocks in (t.rows, t.columns):
+            perms = [table.perms[r] for r in table.young_subgroup(blocks)]
+            assert len(set(perms)) == len(perms), (t, blocks)
+            assert set(perms) == naive_young_subgroup(blocks, t.n), (t, blocks)
+
+
+def test_young_operator_builds_no_composition_table():
+    # Y_T is a scatter over permutation images; only a product reads
+    # comp, the n! x n! table (51 MB at n = 7).  A fresh process, so no
+    # earlier test has built it.
+    code = ("from youngops import YoungTableau, young_operator\n"
+            "from youngops.sn_algebra import sn_table\n"
+            "young_operator(YoungTableau.from_string('1234/567'))\n"
+            "assert 'comp' not in vars(sn_table(7))\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_sn_table_reads_n_by_the_integer_rule():
+    # a cache keys np.int64(3) apart from 3, yet 3.0 and True equal
+    # np.int64(3) and np.int64(1) as keys
+    assert sn_algebra.sn_table(np.int64(3)) is sn_algebra.sn_table(3)
+    assert sn_algebra.sn_table(np.int64(1)) is sn_algebra.sn_table(1)
+    for bad in (3.0, True, np.float64(3)):
+        with pytest.raises(TypeError):
+            sn_algebra.sn_table(bad)
+    assert type(AlgebraElement(np.int64(3)).n) is int
+    assert type(AlgebraElement(np.int64(3), {(2, 1, 3): 1}).n) is int
 
 
 def test_embed_element():

@@ -222,6 +222,10 @@ def test_normalization_reduces_to_lowest_terms():
     (np.array([[F(1, 2), 0], [0, 1]], dtype=object), 1),
     (np.array([[1, 0], [0, 1]], dtype=object), 2.5),
     (np.array([[1, 0], [0, 1]], dtype=np.int64), F(1, 2)),
+    # a bool is no integer, as denominator, dtype or object entry
+    (np.eye(2, dtype=np.int64), True),
+    (np.eye(2, dtype=bool), 1),
+    (np.array([[True, 0], [0, 1]], dtype=object), 1),
 ])
 def test_non_integer_input_is_refused_not_truncated(num, den):
     with pytest.raises(TypeError):
@@ -363,7 +367,7 @@ def _weight_diagonal(n, N, diagonal, den=1):
     diagonal, 1 elsewhere on the weight blocks and 0 off them, over
     `den`."""
     weight = tensor_rep.basis_table(n, N).weight
-    num = (weight[:, None] == weight[None, :]).astype(object)
+    num = (weight[:, None] == weight[None, :]).astype(np.int64).astype(object)
     np.fill_diagonal(num, diagonal)
     return TensorOperator(n, N, num, den)
 
