@@ -8,9 +8,10 @@ numerators are int64 whenever every entry fits and Python integers
 (object dtype) when one does not; sums, scaling and equality are those
 of every exact value (`exact._Exact`).  What depends on n alone -- the
 permutations in rank order, the composition table, the inverse,
-cycle-count and sign vectors, and the index maps of embedding and
-partial trace -- is held by one table per n, each part built on first
-use: the composition table by the first product, its one reader.
+cycle-count and sign vectors, the index maps of embedding and partial
+trace, and one Young-operator template per shape -- is held by one
+read-only table per n, each part built on first use: the composition
+table by the first product, its one reader.
 
 A product gathers, for each nonzero a_i, the row of b that sigma_i
 maps onto each target permutation (through the composition table
@@ -21,8 +22,9 @@ float64, which is then exact; below 2**63 it runs in int64, and past
 that on Python integers.  Every other fast path carries a bound of the
 same kind, so results are always exact.
 
-This module builds (anti)symmetrizers and Young operators Y_T from
-permutation images alone, Hermitian counterparts P_T by products, the
+This module builds (anti)symmetrizers from permutation images alone,
+Young operators Y_T by relabelling their shape's template (Y_T is
+pi Y_T0 pi^-1 when T = pi T0), Hermitian counterparts P_T by products, the
 *-involution, trace polynomials in the tensor dimension N, and the
 partial trace over the last slot.  That trace is linear in N (a fixed
 point of the last slot contributes a factor N), so it returns the pair
@@ -33,9 +35,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations as _permutations
+from itertools import accumulate, permutations as _permutations
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +73,20 @@ _CHUNK = 1 << 14
 # -- the per-degree table ------------------------------------------------------
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _YoungTemplate(NamedTuple):
+    """Y_T0 for the row-reading tableau T0 of one shape: the one-line
+    images (0-based, int8) of its terms r c, the sign of each c, and the
+    hook product, its denominator."""
+    images: np.ndarray
+    signs: np.ndarray
+    den: int
+
+
 class _SnTable:
     """S_n indexed by lexicographic rank, and the maps the algebra needs.
 
@@ -78,6 +94,8 @@ class _SnTable:
     permutation's code is its one-line form read as a base-n number;
     `_rank_of_code` (n**n entries) turns codes back into ranks, so each
     map below is built a row at a time with no n! x n! x n intermediate.
+    Every array the table keeps is read-only once built, since all later
+    operators read it.
     """
 
     def __init__(self, n: int):
@@ -85,13 +103,17 @@ class _SnTable:
         self.n = n
         self.perms: list[Perm] = list(_permutations(range(1, n + 1)))
         self.size = len(self.perms)
-        self.images = np.array(self.perms, dtype=np.intp).reshape(self.size, n) - 1
-        self._weights = n ** np.arange(n - 1, -1, -1)
-        self._rank_of_code = np.zeros(n ** n, dtype=np.int16)
-        self._rank_of_code[self.images @ self._weights] = np.arange(self.size)
-        self.inverse = self.ranks(np.argsort(self.images, axis=1))
-        self.cycles = np.array([cycle_count(p) for p in self.perms])
-        self.sign = np.where((n - self.cycles) % 2, -1, 1)
+        self.images = _frozen(
+            np.array(self.perms, dtype=np.intp).reshape(self.size, n) - 1)
+        self._weights = _frozen(n ** np.arange(n - 1, -1, -1))
+        rank_of_code = np.zeros(n ** n, dtype=np.int16)
+        rank_of_code[self.images @ self._weights] = np.arange(self.size)
+        self._rank_of_code = _frozen(rank_of_code)
+        self.inverse = _frozen(self.ranks(np.argsort(self.images, axis=1)))
+        self.cycles = _frozen(np.array([cycle_count(p) for p in self.perms]))
+        self.sign = _frozen(np.where((n - self.cycles) % 2, -1, 1))
+        self._embeddings: dict[int, np.ndarray] = {}
+        self._templates: dict[tuple[int, ...], _YoungTemplate] = {}
 
     def ranks(self, images: np.ndarray) -> np.ndarray:
         """Ranks of the permutations given as rows of 0-based images."""
@@ -119,8 +141,8 @@ class _SnTable:
         """Conjugacy-class id of each permutation: its cycle type,
         numbered in order of first appearance."""
         ids: dict[tuple[int, ...], int] = {}
-        return np.array([ids.setdefault(cycle_type(p), len(ids))
-                         for p in self.perms])
+        return _frozen(np.array([ids.setdefault(cycle_type(p), len(ids))
+                                 for p in self.perms]))
 
     @cached_property
     def comp(self) -> np.ndarray:
@@ -128,7 +150,7 @@ class _SnTable:
         comp = np.empty((self.size, self.size), dtype=np.int16)
         for i, row in enumerate(self.images):
             comp[i] = self.ranks(row[self.images])
-        return comp
+        return _frozen(comp)
 
     def young_subgroup(self, blocks: Iterable[Sequence[int]]) -> np.ndarray:
         """Ranks of the Young subgroup prod_B Sym(B) of the disjoint
@@ -138,8 +160,7 @@ class _SnTable:
         Disjoint blocks commute, so the group is the product of each
         block's S_k images written into its slots, g-major and h-minor,
         each element once, ranked in one call.  The single block 1..k
-        thus gives S_k fixing k+1, ..., n, in S_k's rank order, as
-        `embed_element` and `partial_trace` need.
+        thus gives S_k fixing k+1, ..., n, in S_k's rank order.
         """
         images = np.arange(self.n)[None]
         for block in blocks:
@@ -148,6 +169,43 @@ class _SnTable:
             images = np.repeat(images, len(low), axis=0)
             images[:, slots] = np.tile(slots[low], (len(images) // len(low), 1))
         return self.ranks(images)
+
+    def embedding(self, m: int) -> np.ndarray:
+        """Ranks of S_m fixing m+1, ..., n, in S_m's rank order: where
+        `embed_element` writes A(S_m) and `partial_trace` reads it.
+        Built once per m."""
+        ranks = self._embeddings.get(m)
+        if ranks is None:
+            ranks = _frozen(self.young_subgroup([range(1, m + 1)]))
+            self._embeddings[m] = ranks
+        return ranks
+
+    def young_template(self, shape: tuple[int, ...]) -> _YoungTemplate:
+        """Y_T0 for the row-reading tableau T0 of `shape` (its rows filled
+        with 1..n, top to bottom), built once per shape.
+
+        With R and C the row and column groups of T0, Y_T0 is sign(c)/|T0|
+        on each product r c (c applied first), and these |R| |C| products
+        are distinct: rc = r'c' gives r'^-1 r = c' c^-1, which lies in R
+        and in C.  A row and a column share exactly one box, so a
+        permutation keeping every entry in its row and in its column fixes
+        every entry: R n C = {e}, hence r = r' and c = c'.  Every
+        numerator is therefore +-1, written once, and there are
+        |R| |C| <= n! terms.
+        """
+        template = self._templates.get(shape)
+        if template is None:
+            t0 = YoungTableau([range(end - k + 1, end + 1)
+                               for k, end in zip(shape, accumulate(shape))])
+            rows = self.young_subgroup(t0.rows)
+            cols = self.young_subgroup(t0.columns)
+            rc = self.images[rows][:, self.images[cols]]  # r_i(c_j(x))
+            template = _YoungTemplate(
+                _frozen(rc.reshape(-1, self.n).astype(np.int8)),
+                _frozen(np.tile(self.sign[cols], len(rows))),
+                t0.shape.hook_product())
+            self._templates[shape] = template
+        return template
 
     @cached_property
     def splice(self) -> np.ndarray:
@@ -163,7 +221,7 @@ class _SnTable:
         target = sn_table(last).ranks(spliced)
         moved = np.flatnonzero(self.images[:, last] != last)
         moved = moved[np.argsort(target[moved], kind="stable")]
-        return moved.reshape(-1, last).T
+        return _frozen(moved.reshape(-1, last).T)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -342,7 +400,7 @@ class AlgebraElement(_Exact):
         if self.n < 2:
             raise ValueError("partial trace requires degree >= 2")
         table = sn_table(self.n)
-        looped = self.num[table.young_subgroup([range(1, self.n)])]
+        looped = self.num[table.embedding(self.n - 1)]
         spliced = self.num[table.splice]
         # Each entry of B sums n-1 terms of size at most max|num|.
         if (self.n - 1) * _maxabs(self.num) >= _I64_EXACT:
@@ -379,7 +437,7 @@ def embed_element(a: AlgebraElement, n: int) -> AlgebraElement:
         return a
     table = sn_table(n)
     num = np.zeros(table.size, dtype=a.num.dtype)
-    num[table.young_subgroup([range(1, a.n + 1)])] = a.num
+    num[table.embedding(a.n)] = a.num
     return AlgebraElement._new(n, num, a.den)
 
 
@@ -414,9 +472,9 @@ def antisymmetrizer(slots: Iterable[int], n: int) -> AlgebraElement:
 
 # Only P_T is memoized, on the tableau's row tuple: its sandwich
 # recursion reuses the parent P_T', and each level costs two products.
-# Y_T needs no earlier result and no product (one scatter), so it is
-# rebuilt on every call.  Concurrent inserts are idempotent: the same
-# key always maps to the same value.
+# Y_T needs no earlier result and no product (its shape's template,
+# relabelled), so it is rebuilt on every call.  Concurrent inserts are
+# idempotent: the same key always maps to the same value.
 _HERMITIAN_CACHE: dict[tuple[tuple[int, ...], ...], AlgebraElement] = {}
 
 
@@ -429,10 +487,15 @@ def young_operator(t: YoungTableau, *,
     product of the shape.  The product convention applies a_T first.
     Y_T is a primitive idempotent of A(S_n).
 
-    No algebra product is formed: the row group R and the column group C
-    meet only in the identity, so the |R| |C| products rc are distinct
-    permutations and Y_T is sign(c)/|T| on each of them, written in one
-    scatter at the ranks of the composed images r(c(x)).
+    No algebra product is formed.  Every filling T of a shape is
+    pi T0, where T0 is the shape's row-reading tableau and pi maps each
+    entry of T0 to the entry in the same box of T, so pi is T's row
+    word.  Then R_T = pi R_T0 pi^-1 and C_T = pi C_T0 pi^-1, and
+    Y_T = pi Y_T0 pi^-1: the images of the shape's template
+    (`_SnTable.young_template`) are relabelled and ranked in one call,
+    and its signs are written in one scatter.  Conjugation is a
+    bijection and sign(pi c pi^-1) = sign(c), so the template's proof
+    that every term is distinct with numerator +-1 carries over.
 
     Y_T is rebuilt on every call, standard and forced fillings alike;
     only P_T, whose recursion reuses its parent, is memoized.
@@ -441,23 +504,23 @@ def young_operator(t: YoungTableau, *,
     allow_nonstandard is set, since nearly every identity in this
     package is about standard tableaux.
     """
-    n = t.n
-    table = sn_table(n)  # refuses n outside 1..ALGEBRA_MAX_N
+    sn_table(t.n)  # refuses n outside 1..ALGEBRA_MAX_N
     if not (allow_nonstandard or t.is_standard()):
         raise ValueError(f"tableau {t} is not standard "
                          "(pass allow_nonstandard=True to force)")
-    rows = table.young_subgroup(t.rows)
-    cols = table.young_subgroup(t.columns)
-    # The scatter is injective: rc = r'c' gives r'^-1 r = c' c^-1, which
-    # lies in R and in C.  A row and a column share exactly one box, so
-    # a permutation keeping every entry in its row and in its column
-    # fixes every entry: R n C = {e}, hence r = r' and c = c'.  Every
-    # numerator is therefore +-1, written once, and the index array has
-    # |R| |C| <= n! entries, so int64 needs no bound.
-    rc = table.images[rows][:, table.images[cols]]  # rc[i, j, x] = r_i(c_j(x))
+    return _young(t)
+
+
+def _young(t: YoungTableau) -> AlgebraElement:
+    """Y_T for any filling T, with no standardness check: the template
+    of T's shape conjugated by T's row word (see `young_operator`)."""
+    table = sn_table(t.n)
+    images, signs, den = table.young_template(t.shape.rows)
+    pi = np.array(t.row_word(), dtype=np.intp) - 1
+    pi_inv = np.argsort(pi)
     num = np.zeros(table.size, dtype=np.int64)
-    num[table.ranks(rc)] = table.sign[cols]
-    return AlgebraElement._new(n, num, t.shape.hook_product())
+    num[table.ranks(pi[images[:, pi_inv]])] = signs  # pi rc pi^-1
+    return AlgebraElement._new(t.n, num, den)
 
 
 def hermitian_young(t: YoungTableau) -> AlgebraElement:
@@ -484,11 +547,11 @@ def hermitian_young(t: YoungTableau) -> AlgebraElement:
     if not t.is_standard():
         raise ValueError(f"tableau {t} is not standard")
     if n <= 2:
-        result = young_operator(t)
+        result = _young(t)
     else:
         parent, _, _ = t.parent()
         wings = embed_element(hermitian_young(parent), n)
-        result = wings * young_operator(t) * wings
+        result = wings * _young(t) * wings
     _HERMITIAN_CACHE[key] = result
     return result
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .config import check_algebra_size, check_tensor_size
@@ -23,7 +24,7 @@ from .sn_algebra import (
     hermitian_young,
     young_operator,
 )
-from .tableaux import YoungTableau, enumerate_syt
+from .tableaux import YoungDiagram, YoungTableau, enumerate_syt
 from .tensor_rep import TensorOperator, realize
 
 DEFAULT_TENSOR_DIMS = (2, 3)
@@ -133,9 +134,12 @@ def _value_check(check_id: str, anchor: str,
 _FAMILIES = (("Y", young_operator), ("P", hermitian_young))
 
 
-def _dimension(t: YoungTableau) -> Polynomial:
-    """f_T(N)/|T|, the trace and rank of D(Y_T) and D(P_T), in N."""
-    return t.shape.dimension_polynomial() / t.shape.hook_product()
+@lru_cache(maxsize=None)
+def _dimension(shape: YoungDiagram) -> Polynomial:
+    """f_T(N)/|T|, the trace and rank of D(Y_T) and D(P_T), in N.  It
+    depends on T's shape alone, so it is built once per shape (a diagram
+    hashes by its rows)."""
+    return shape.dimension_polynomial() / shape.hook_product()
 
 
 # -- individual suites --------------------------------------------------------
@@ -192,7 +196,7 @@ def _suite_completeness(ctx: _Context) -> list[CheckResult]:
 def _suite_traces(ctx: _Context) -> list[CheckResult]:
     out = []
     for t in ctx.tableaux:
-        want = _dimension(t)
+        want = _dimension(t.shape)
         for kind, build in _FAMILIES:
             out.append(_value_check(f"traces:{kind}:{t.to_string()}",
                                     "tr Y_T = tr P_T = f_T(N)/|T|",
@@ -304,7 +308,7 @@ def orthogonality_report(ops: Sequence[TensorOperator],
 def _suite_tensor(ctx: _Context) -> list[CheckResult]:
     out = []
     names = [t.to_string() for t in ctx.tableaux]
-    dims = [_dimension(t) for t in ctx.tableaux]
+    dims = [_dimension(t.shape) for t in ctx.tableaux]
     for N in ctx.tensor_dims:
         prefix = f"tensor:N={N}:"
         mats = [realize(hermitian_young(t), N) for t in ctx.tableaux]

@@ -5,6 +5,8 @@ import hashlib
 import os
 import pathlib
 import re
+import runpy
+import shlex
 import subprocess
 import sys
 
@@ -16,7 +18,8 @@ from youngops import (AlgebraElement, Polynomial, YoungTableau,
                       young_operator)
 from youngops.cli import main
 
-STDOUT_PINS = pathlib.Path(__file__).resolve().parents[1] / ".github" / "stdout"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+STDOUT_PINS = REPO / ".github" / "stdout"
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +102,28 @@ def test_wire_output_matches_its_pin_and_reads_back(capsys, name, argv,
     pin = (STDOUT_PINS / f"{name}.sha256").read_text().split()[0]
     assert hashlib.sha256(out.encode()).hexdigest() == pin
     assert read(json.loads(out)) == build()
+
+
+def test_ci_workload_steps_match_the_benchmark():
+    # CI and the benchmark must gate the same bytes: each "Benchmark
+    # workload" step runs the benchmark's argv, and checks the SHA-256
+    # that perfbench/workloads.py records.
+    workloads = runpy.run_path(str(REPO / "perfbench" / "workloads.py"))
+    lines = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    lines = [line.strip() for line in lines.splitlines()]
+    steps = {}
+    for i, line in enumerate(lines):
+        found = re.fullmatch(r"- name: Benchmark workload (\S+)", line)
+        if found:
+            run = next(x for x in lines[i + 1:] if x.startswith("run: "))
+            steps[found[1]] = run[len("run: "):]
+    assert steps.keys() == workloads["WORKLOADS"].keys()
+    for name, w in workloads["WORKLOADS"].items():
+        assert steps[name] == (
+            f"python -m youngops {shlex.join(w.argv)}"
+            f" | sha256sum -c .github/stdout/{name}.sha256"), name
+        pin = (STDOUT_PINS / f"{name}.sha256").read_text()
+        assert pin == f"{w.stdout_sha256}  -\n", name
 
 
 def test_dims_table(capsys):

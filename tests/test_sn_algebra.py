@@ -450,6 +450,7 @@ def test_leading_young_subgroup_is_s_k_in_rank_order():
                         for img in sn_algebra.sn_table(k).images]
             ranks = table.young_subgroup([range(1, k + 1)])
             assert [table.perms[r] for r in ranks] == extended
+            assert np.array_equal(table.embedding(k), ranks)
 
 
 def test_young_subgroup_matches_brute_force():
@@ -463,6 +464,72 @@ def test_young_subgroup_matches_brute_force():
             perms = [table.perms[r] for r in table.young_subgroup(blocks)]
             assert len(set(perms)) == len(perms), (t, blocks)
             assert set(perms) == naive_young_subgroup(blocks, t.n), (t, blocks)
+
+
+def _column_reading(shape):
+    # the reference filling of a shape: 1..n down each column in turn
+    word = iter(range(1, shape.n + 1))
+    cols = [[next(word) for _ in range(height)] for height in shape.columns]
+    return YoungTableau([[col[j] for col in cols if j < len(col)]
+                         for j in range(len(shape.rows))])
+
+
+def test_relabelled_tableau_conjugates_its_young_operator():
+    # Y_{pi T} = pi Y_T pi^-1, checked by two algebra products against
+    # one reference tableau per shape, for every filling up to n = 4 and
+    # every standard tableau up to n = 6
+    cases = [t for n in range(1, 5) for t in all_fillings(n)]
+    cases += [t for n in range(5, 7) for t in enumerate_syt(n)]
+    for t in cases:
+        ref = _column_reading(t.shape)
+        image = dict(zip(ref.row_word(), t.row_word()))  # pi(ref box) = t box
+        pi = tuple(image[x] for x in range(1, t.n + 1))
+        pi_inv = tuple(sorted(range(1, t.n + 1), key=lambda x: pi[x - 1]))
+        y_ref = young_operator(ref, allow_nonstandard=True)
+        want = (AlgebraElement.from_perm(pi) * y_ref
+                * AlgebraElement.from_perm(pi_inv))
+        assert young_operator(t, allow_nonstandard=True) == want, t
+
+
+def test_young_subgroups_are_built_once_per_shape(monkeypatch):
+    # every Y_T relabels its shape's template, so building all 232 Y_T at
+    # n = 7 forms each shape's row and column groups once, and no more
+    table = sn_algebra.sn_table(7)
+    monkeypatch.setattr(table, "_templates", {})
+    calls = []
+    young_subgroup = sn_algebra._SnTable.young_subgroup
+
+    def counted(self, blocks):
+        calls.append(self.n)
+        return young_subgroup(self, blocks)
+
+    monkeypatch.setattr(sn_algebra._SnTable, "young_subgroup", counted)
+    tableaux = enumerate_syt(7)
+    shapes = {t.shape for t in tableaux}
+    assert (len(tableaux), len(shapes)) == (232, 15)
+    for t in tableaux:
+        young_operator(t)
+    assert len(calls) <= 2 * len(shapes)
+
+
+def test_table_arrays_are_read_only():
+    # every later operator reads these, so one stray write would corrupt
+    # them all
+    table = sn_algebra.sn_table(4)
+    template = table.young_template((2, 1, 1))
+    arrays = {
+        "images": table.images, "inverse": table.inverse,
+        "cycles": table.cycles, "sign": table.sign,
+        "_rank_of_code": table._rank_of_code, "comp": table.comp,
+        "splice": table.splice, "classes": table.classes,
+        "template.images": template.images,
+        "template.signs": template.signs,
+        "embedding": table.embedding(3),
+    }
+    for name, array in arrays.items():
+        with pytest.raises(ValueError):
+            array.flat[0] = array.flat[0]
+        assert not array.flags.writeable, name
 
 
 def test_young_operator_builds_no_composition_table():
