@@ -7,7 +7,7 @@ dimension N, and an exact matrix realization on (C^N)^(x n) for
 independent cross-validation.  Everything is computed in exact rational
 arithmetic; every identity either holds on the nose or fails loudly.
 """
-from .config import TABLEAU_MAX_N, TENSOR_MAX_DIM, SizeLimitError
+from .config import ALGEBRA_MAX_N, TABLEAU_MAX_N, TENSOR_MAX_DIM, SizeLimitError
 from .polynomial import Polynomial
 from .permutations import (
     Perm,
@@ -50,6 +50,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ALGEBRA_MAX_N",
     "TABLEAU_MAX_N",
     "TENSOR_MAX_DIM",
     "SizeLimitError",

@@ -30,6 +30,7 @@ from .verify import (
     OPT_IN_SUITES,
     SUITE_NAMES,
     VerificationReport,
+    read_tensor_dims,
     run_verification,
 )
 
@@ -103,10 +104,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     hooks = {s: s.hook_product() for s in shapes}
     polys = {s: s.dimension_polynomial() for s in shapes}
     tables = []
-    # A repeated N runs once, at its first place, as in `verify`.
-    for N in dict.fromkeys(args.N):
-        if N < 1:
-            raise ValueError(f"N must be positive, got {N}")
+    for N in read_tensor_dims(args.N):
         f = {s: int(poly(N)) for s, poly in polys.items()}
         rows = [{"tableau": label, "f": f[s], "hook": hooks[s],
                  "dim": f[s] // hooks[s]} for label, s in labelled]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, permutations as _permutations
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -44,12 +44,7 @@ import numpy as np
 from .config import check_algebra_size
 from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
                     _integer, _maxabs, _scalar, _wire_scalar)
-from .permutations import (
-    Perm,
-    cycle_count,
-    cycle_type,
-    identity,
-)
+from .permutations import Perm, all_permutations, cycle_count, cycle_type
 from .polynomial import Polynomial
 from .tableaux import YoungTableau
 
@@ -101,7 +96,7 @@ class _SnTable:
     def __init__(self, n: int):
         check_algebra_size(n)
         self.n = n
-        self.perms: list[Perm] = list(_permutations(range(1, n + 1)))
+        self.perms: list[Perm] = list(all_permutations(n))
         self.size = len(self.perms)
         self.images = _frozen(
             np.array(self.perms, dtype=np.intp).reshape(self.size, n) - 1)
@@ -306,12 +301,14 @@ class AlgebraElement(_Exact):
 
     @classmethod
     def zero(cls, n: int) -> "AlgebraElement":
-        return cls(n)
+        table = sn_table(n)
+        return cls._new(table.n, np.zeros(table.size, dtype=np.int64), 1)
 
     @classmethod
     def one(cls, n: int) -> "AlgebraElement":
-        """The identity permutation with coefficient 1."""
-        return cls(n, {identity(n): Fraction(1)})
+        """The identity permutation, rank 0, with coefficient 1."""
+        table = sn_table(n)
+        return cls._new(table.n, np.eye(1, table.size, dtype=np.int64)[0], 1)
 
     @classmethod
     def from_perm(cls, p: Perm, coeff: Scalar = 1) -> "AlgebraElement":
@@ -497,24 +494,14 @@ def young_operator(t: YoungTableau, *,
     bijection and sign(pi c pi^-1) = sign(c), so the template's proof
     that every term is distinct with numerator +-1 carries over.
 
-    Y_T is rebuilt on every call, standard and forced fillings alike;
-    only P_T, whose recursion reuses its parent, is memoized.
-
-    Non-standard (but bijective) fillings are rejected unless
+    A non-standard (but bijective) filling raises ValueError unless
     allow_nonstandard is set, since nearly every identity in this
-    package is about standard tableaux.
+    package is about standard tableaux; `hermitian_young` sets it once
+    it has tested standardness.
     """
-    sn_table(t.n)  # refuses n outside 1..ALGEBRA_MAX_N
+    table = sn_table(t.n)  # refuses n outside 1..ALGEBRA_MAX_N
     if not (allow_nonstandard or t.is_standard()):
-        raise ValueError(f"tableau {t} is not standard "
-                         "(pass allow_nonstandard=True to force)")
-    return _young(t)
-
-
-def _young(t: YoungTableau) -> AlgebraElement:
-    """Y_T for any filling T, with no standardness check: the template
-    of T's shape conjugated by T's row word (see `young_operator`)."""
-    table = sn_table(t.n)
+        raise ValueError(f"tableau {t} is not standard")
     images, signs, den = table.young_template(t.shape.rows)
     pi = np.array(t.row_word(), dtype=np.intp) - 1
     pi_inv = np.argsort(pi)
@@ -537,6 +524,9 @@ def hermitian_young(t: YoungTableau) -> AlgebraElement:
     the *-involution, with the same trace as Y_T, and the P_T over all
     standard tableaux of n boxes are mutually transversal and sum to
     the identity.
+
+    A non-standard T is refused once, by `YoungTableau.parent` for
+    n >= 3 and by `young_operator` for n <= 2.
     """
     n = t.n
     key = t.rows
@@ -544,14 +534,12 @@ def hermitian_young(t: YoungTableau) -> AlgebraElement:
     if cached is not None:
         return cached  # only standard tableaux are ever stored
     sn_table(n)  # refuses n outside 1..ALGEBRA_MAX_N before any parent
-    if not t.is_standard():
-        raise ValueError(f"tableau {t} is not standard")
     if n <= 2:
-        result = _young(t)
+        result = young_operator(t)
     else:
-        parent, _, _ = t.parent()
+        parent, _, _ = t.parent()  # refuses a non-standard T
         wings = embed_element(hermitian_young(parent), n)
-        result = wings * _young(t) * wings
+        result = wings * young_operator(t, allow_nonstandard=True) * wings
     _HERMITIAN_CACHE[key] = result
     return result
 

@@ -106,11 +106,8 @@ class YoungDiagram:
         f(N)/hook_product is the dimension of the irreducible subspace
         of (C^N)^(x n) cut out by any Young operator of this shape.
         """
-        coeffs = [1]  # little-endian integer coefficients
-        for j, k in self.cells():
-            # times (N + c): coefficient i becomes c * a_i + a_(i-1)
-            coeffs = [(k - j) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-        return Polynomial(coeffs)
+        return prod((Polynomial([k - j, 1]) for j, k in self.cells()),
+                    start=Polynomial.one())
 
     def dimension(self, N: int) -> int:
         """f(N)/hook_product at integer N (0 when row_count > N)."""
@@ -202,12 +199,13 @@ class YoungTableau:
         row of the removed cell.  In a standard tableau n sits at an
         outer corner, so p is also the length of that cell's row and q
         the length of its column.  The factor (N + p - q) is the removed
-        box's contribution to the dimension polynomial.
+        box's contribution to the dimension polynomial.  A single box or
+        a non-standard tableau raises ValueError.
         """
         if self.n < 2:
             raise ValueError("parent requires at least two boxes")
         if not self.is_standard():
-            raise ValueError(f"parent requires a standard tableau, got {self}")
+            raise ValueError(f"tableau {self} is not standard")
         j0, k0 = self.cell_of(self.n)
         rows = [list(row) for row in self.rows]
         rows[j0 - 1].pop()

@@ -12,8 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .config import check_algebra_size, check_tensor_size
 from .exact import _Exact, _integer
@@ -28,6 +28,16 @@ from .tableaux import YoungDiagram, YoungTableau, enumerate_syt
 from .tensor_rep import TensorOperator, realize
 
 DEFAULT_TENSOR_DIMS = (2, 3)
+
+
+def read_tensor_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """The N of `verify` and `dims`: each by the integer rule and at
+    least 1; a repeated N runs once, at its first place."""
+    dims = tuple(dict.fromkeys(_integer(N) for N in dims))
+    for N in dims:
+        if N < 1:
+            raise ValueError(f"N must be positive, got {N}")
+    return dims
 
 
 class UnknownSuiteError(ValueError):
@@ -160,20 +170,13 @@ def _transversality(ctx: _Context, kind: str, suite: str) -> list[CheckResult]:
     build = dict(_FAMILIES)[kind]
     ops = {t.to_string(): build(t) for t in ctx.tableaux}
     anchor = f"{kind}_T {kind}_U = delta_TU {kind}_T"
+    zero = AlgebraElement.zero(ctx.n)
     out = []
     for t, a in ops.items():
         for u, b in ops.items():
-            want = a if t == u else AlgebraElement.zero(ctx.n)
+            want = a if t == u else zero
             out.append(_equality_check(f"{suite}:{t}*{u}", anchor, a * b, want))
     return out
-
-
-def _suite_conventional_transversality(ctx: _Context) -> list[CheckResult]:
-    return _transversality(ctx, "Y", "conventional-transversality")
-
-
-def _suite_transversality(ctx: _Context) -> list[CheckResult]:
-    return _transversality(ctx, "P", "transversality")
 
 
 def _suite_hermiticity(ctx: _Context) -> list[CheckResult]:
@@ -350,8 +353,10 @@ class _Suite(NamedTuple):
 _SUITES: dict[str, _Suite] = {
     "idempotency": _Suite(_suite_idempotency),
     "conventional-transversality": _Suite(
-        _suite_conventional_transversality, default=False),
-    "transversality": _Suite(_suite_transversality),
+        partial(_transversality, kind="Y", suite="conventional-transversality"),
+        default=False),
+    "transversality": _Suite(
+        partial(_transversality, kind="P", suite="transversality")),
     "hermiticity": _Suite(_suite_hermiticity),
     "completeness": _Suite(_suite_completeness),
     "traces": _Suite(_suite_traces),
@@ -377,7 +382,7 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
                      suites: Sequence[str] | None = None) -> VerificationReport:
     """Run the requested suites (default: `default_suites(n)`) and
     return a fully sorted report.  Size caps are checked before any
-    work: n against ALGEBRA_MAX_N, each N by the integer rule and, with
+    work: n against ALGEBRA_MAX_N, the N by `read_tensor_dims` and, with
     the tensor suite, each N**n by `check_tensor_size`."""
     check_algebra_size(n)
     if suites is None:
@@ -388,13 +393,9 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
             if name not in _SUITES:
                 raise UnknownSuiteError(
                     f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    # A repeated N runs once, at its first place.
-    dims = tuple(dict.fromkeys(
-        _integer(N) for N in tensor_dims or DEFAULT_TENSOR_DIMS))
-    for N in dims:
-        if N < 1:
-            raise ValueError(f"N must be positive, got {N}")
-        if "tensor" in chosen:
+    dims = read_tensor_dims(tensor_dims or DEFAULT_TENSOR_DIMS)
+    if "tensor" in chosen:
+        for N in dims:
             check_tensor_size(n, N)
     ctx = _Context(n, dims)
     report = VerificationReport(n=n, tensor_dims=dims)

@@ -205,6 +205,14 @@ def test_verify_repeated_tensor_dimension_runs_once(capsys):
     assert out.count("PASS tensor:N=2:sum-to-identity ") == 1
 
 
+def test_dims_and_verify_share_one_tensor_dimension_rule(capsys):
+    for command in (["dims", "--n", "2"], ["verify", "--n", "2"]):
+        for N in ("0", "-3"):
+            code, out, err = run_cli(capsys, *command, "--N", "2", "--N", N)
+            assert (code, out) == (2, "")
+            assert err == f"error: N must be positive, got {N}\n"
+
+
 def test_verify_json_out(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", "--n", "3", "--N", "2",

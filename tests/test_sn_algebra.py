@@ -77,6 +77,19 @@ def test_coefficient_checks_the_permutation():
     assert e.coefficient((np.int64(2), np.int64(1))) == F(1, 2)
 
 
+def test_zero_and_one_match_their_term_forms():
+    for n in (1, 3, 5):
+        zero, one = AlgebraElement.zero(n), AlgebraElement.one(n)
+        assert zero == AlgebraElement(n, {}) and zero.is_zero()
+        assert one == AlgebraElement(n, {tuple(range(1, n + 1)): 1})
+    for build in (AlgebraElement.zero, AlgebraElement.one):
+        assert type(build(np.int64(3)).n) is int
+        with pytest.raises(TypeError):
+            build(3.0)
+        with pytest.raises(SizeLimitError):
+            build(8)
+
+
 def test_degree_mismatch_errors():
     a, b = AlgebraElement.one(3), AlgebraElement.one(4)
     for op in (lambda: a + b, lambda: a - b, lambda: a * b):
@@ -402,6 +415,37 @@ def test_hermitian_equals_young_up_to_two_boxes():
     for text in ("12", "1/2"):
         y = young_operator(T(text))
         assert hermitian_young(T(text)) == wings * y * wings
+
+
+def test_hermitian_young_refuses_nonstandard_and_memoizes_nothing():
+    # n = 2 meets young_operator's check in the base case, n = 3 meets
+    # parent()'s; both refuse in the words young_operator uses, and
+    # neither leaves a memo entry behind (a forced Y_21 stored as P_21
+    # would be returned from then on)
+    for text in ("21", "21/3"):
+        for build in (young_operator, hermitian_young):
+            with pytest.raises(ValueError,
+                               match=f"^tableau {text} is not standard$"):
+                build(T(text))
+        assert T(text).rows not in sn_algebra._HERMITIAN_CACHE
+
+
+def test_standardness_is_tested_once_per_hermitian_operator(monkeypatch):
+    tableaux = enumerate_syt(6)
+    calls = []
+    is_standard = YoungTableau.is_standard
+
+    def counted(t):
+        calls.append(t.rows)
+        return is_standard(t)
+
+    monkeypatch.setattr(sn_algebra, "_HERMITIAN_CACHE", {})
+    monkeypatch.setattr(YoungTableau, "is_standard", counted)
+    for t in tableaux:
+        hermitian_young(t)
+    # the 76 P_T at n = 6 and their parents down to n = 2, the base case
+    assert len(sn_algebra._HERMITIAN_CACHE) == 118
+    assert sorted(calls) == sorted(sn_algebra._HERMITIAN_CACHE)
 
 
 def test_hermitian_12_3_expansion():

@@ -1,5 +1,5 @@
 from itertools import zip_longest
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -29,6 +29,9 @@ def test_partitions_descending_lex():
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert list(partitions(1)) == [(1,)]
     assert len(list(partitions(7))) == 15
+    assert list(partitions(0)) == [()]
+    with pytest.raises(ValueError):
+        list(partitions(-1))
 
 
 def test_diagram_validation():
@@ -250,6 +253,10 @@ def test_string_round_trip():
         YoungTableau.from_string("12//3")
     with pytest.raises(ValueError):
         YoungTableau.from_string("1a/2")
+    ten = YoungTableau([list(range(1, 11))])
+    with pytest.raises(ValueError):
+        ten.to_string()
+    assert str(ten) == "1.2.3.4.5.6.7.8.9.10"
 
 
 def test_dict_round_trip():
@@ -273,7 +280,7 @@ def test_parent_examples():
 def test_parent_requirements():
     with pytest.raises(ValueError):
         YoungTableau.from_string("1").parent()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tableau 21/3 is not standard$"):
         YoungTableau([[2, 1], [3]]).parent()
 
 
@@ -310,12 +317,13 @@ def test_dimension_polynomial_examples():
 @given(partition_strategy())
 def test_shape_scalars_match_cell_products(shape):
     d = YoungDiagram(shape)
-    f, hooks = Polynomial.one(), 1
-    for j, k in d.cells():
-        f = f * Polynomial([k - j, 1])
-        hooks *= d.hook_length(j, k)
-    assert d.dimension_polynomial() == f
-    assert d.hook_product() == hooks
+    # f(N) = prod (N + k - j) at the n + 1 points N = 0..n fixes the
+    # degree-n polynomial, with no polynomial product in the oracle
+    f = d.dimension_polynomial()
+    assert f.degree == d.n
+    for N in range(d.n + 1):
+        assert f(N) == prod(N + k - j for j, k in d.cells())
+    assert d.hook_product() == prod(d.hook_length(j, k) for j, k in d.cells())
 
 
 def test_dimension_polynomial_structure():

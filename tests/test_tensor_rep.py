@@ -216,6 +216,17 @@ def test_normalization_reduces_to_lowest_terms():
     assert z.den == 1 and z.is_zero()
 
 
+def test_denominator_sign_zero_and_shape():
+    eye = np.eye(2, dtype=np.int64)
+    with pytest.raises(ZeroDivisionError):
+        TensorOperator(1, 2, eye, 0)
+    m = TensorOperator(1, 2, eye, -2)
+    assert m == TensorOperator(1, 2, -eye, 2) and m.den == 2
+    assert m.entry(0, 0) == F(-1, 2)
+    with pytest.raises(ValueError):
+        TensorOperator(1, 2, np.eye(3, dtype=np.int64))
+
+
 @pytest.mark.parametrize("num, den", [
     (np.array([[0.5, 0], [0, 1.0]]), 1),
     (np.array([[1.0, 0], [0, 1.0]]), 1),

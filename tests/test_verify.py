@@ -18,6 +18,7 @@ from youngops.verify import (
     UnknownSuiteError,
     _value_check,
     default_suites,
+    read_tensor_dims,
 )
 
 
@@ -119,6 +120,17 @@ def test_unknown_suite_rejected():
 def test_bad_tensor_dimension_rejected():
     with pytest.raises(ValueError):
         run_verification(2, tensor_dims=[0])
+
+
+def test_read_tensor_dims():
+    assert read_tensor_dims([3, 2, np.int64(3), 2, 1]) == (3, 2, 1)
+    assert type(read_tensor_dims([np.int64(4)])[0]) is int
+    for bad in ([2, 0], [-1]):
+        with pytest.raises(ValueError, match="^N must be positive"):
+            read_tensor_dims(bad)
+    for bad in ([2.0], [True], ["2"]):
+        with pytest.raises(TypeError):
+            read_tensor_dims(bad)
 
 
 def test_report_dict_shape():
