@@ -2,12 +2,12 @@
 and the matrix layers.
 
 Both layers store a rational array as integer numerators over one
-positive common denominator, in lowest terms: int64 when every entry is
-below 2**63 in magnitude, Python integers (object dtype) otherwise.  An
-operation on such arrays runs in the cheapest dtype that a bound proved
-at its call site allows -- float64 below 2**53, where every integer is
-exactly representable, int64 below 2**63, and Python integers past
-that -- so results are always exact.
+positive common denominator, in lowest terms.  Every kernel proves a
+bound on the integers it computes, and two rules pick its dtype:
+`_integer_dtype`, int64 below 2**63 and Python integers (object dtype)
+past that; `_exact_dtype`, float64 below 2**53, where every integer is
+exact, else `_integer_dtype`.  `_lowest_terms` is the one cast into
+storage, so results are always exact.
 
 `_Exact` is the one value type over that storage.  A subclass supplies
 its index space and its canonical constructor, and inherits what acts
@@ -39,21 +39,24 @@ def _maxabs(x: np.ndarray) -> int:
     return int(np.abs(x).max()) if x.size else 0
 
 
+def _integer_dtype(bound: int):
+    """int64 when every integer is below `bound` < 2**63, else object."""
+    return np.int64 if bound < _I64_EXACT else object
+
+
 def _exact_dtype(bound: int):
     """Cheapest dtype whose arithmetic is exact on integers below `bound`."""
-    if bound < _F64_EXACT:
-        return np.float64
-    return np.int64 if bound < _I64_EXACT else object
+    return np.float64 if bound < _F64_EXACT else _integer_dtype(bound)
 
 
 def _lincomb(terms: list[tuple[int, np.ndarray]]) -> np.ndarray:
     """Exact sum of k * x over (Python int k, numerator array x), the
-    arrays all of one shape.  int64 when the sum of the |k| * max|x| is
-    below 2**63, which bounds every partial sum; else object.  A term
-    with k * max|x| = 0 is skipped, so every k that is multiplied in is
-    below 2**63 and never overflows an int64 operand."""
+    arrays all of one shape, in `_integer_dtype` of the sum of the
+    |k| * max|x|, which bounds every partial sum.  A term with
+    k * max|x| = 0 is skipped, so every k that is multiplied in is below
+    2**63 and never overflows an int64 operand."""
     mags = [abs(k) * _maxabs(x) for k, x in terms]
-    dtype = np.int64 if sum(mags) < _I64_EXACT else object
+    dtype = _integer_dtype(sum(mags))
     out = np.zeros(terms[0][1].shape, dtype=dtype)
     for (k, x), mag in zip(terms, mags):
         if mag:
@@ -63,14 +66,14 @@ def _lincomb(terms: list[tuple[int, np.ndarray]]) -> np.ndarray:
 
 def _lowest_terms(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     """num / den with a positive den, in lowest terms, in the shared
-    storage: int64 numerators while max|num| < 2**63, else object.  The
-    zero array becomes int64 zeros over 1.  An int64 `num` must not hold
-    -2**63, which no bounded int64 path produces."""
+    storage `_integer_dtype(max|num|)`, the one cast into it: only a
+    kernel's result is float64, below 2**53, as constructors refuse
+    floats.  Zero becomes int64 zeros over 1.  An int64 `num` must not
+    hold -2**63, which no bounded int64 path produces."""
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     if num.dtype != np.int64:
-        num = num.astype(object if _maxabs(num) >= _I64_EXACT else np.int64,
-                         copy=False)
+        num = num.astype(_integer_dtype(_maxabs(num)), copy=False)
     if not num.any():
         return np.zeros(num.shape, dtype=np.int64), 1
     if den < 0:
@@ -79,8 +82,8 @@ def _lowest_terms(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     if g > 1:
         num = num // g
         den //= g
-        if num.dtype == object and _maxabs(num) < _I64_EXACT:
-            num = num.astype(np.int64)
+        if num.dtype == object:
+            num = num.astype(_integer_dtype(_maxabs(num)), copy=False)
     return num, den
 
 

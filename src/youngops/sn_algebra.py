@@ -42,8 +42,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .config import check_algebra_size
-from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
-                    _integer, _maxabs, _scalar, _wire_scalar)
+from .exact import (_Exact, _common_denominator, _exact_dtype, _integer,
+                    _lincomb, _maxabs, _scalar, _wire_scalar)
 from .permutations import Perm, all_permutations, cycle_count, cycle_type
 from .polynomial import Polynomial
 from .tableaux import YoungTableau
@@ -263,7 +263,7 @@ def _convolve(table: _SnTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for lo in range(0, len(rows), step):
         gather = table.comp[table.inverse[rows[lo:lo + step]]]
         out += av[lo:lo + step] @ bv[gather]
-    return out.astype(np.int64) if dtype is np.float64 else out
+    return out
 
 
 # -- elements -----------------------------------------------------------------------
@@ -398,12 +398,9 @@ class AlgebraElement(_Exact):
             raise ValueError("partial trace requires degree >= 2")
         table = sn_table(self.n)
         looped = self.num[table.embedding(self.n - 1)]
-        spliced = self.num[table.splice]
-        # Each entry of B sums n-1 terms of size at most max|num|.
-        if (self.n - 1) * _maxabs(self.num) >= _I64_EXACT:
-            spliced = spliced.astype(object)
+        spliced = _lincomb([(1, row) for row in self.num[table.splice]])
         return (self._new(self.n - 1, looped, self.den),
-                self._new(self.n - 1, spliced.sum(axis=0), self.den))
+                self._new(self.n - 1, spliced, self.den))
 
     # -- JSON wire format ----------------------------------------------------
 

@@ -124,13 +124,6 @@ class YoungDiagram:
     def __repr__(self) -> str:
         return f"YoungDiagram({list(self.rows)!r})"
 
-    def to_dict(self) -> dict:
-        return {"shape": list(self.rows)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "YoungDiagram":
-        return cls(data["shape"])
-
 
 class YoungTableau:
     """A diagram filled bijectively with 1..n, stored as rows of entries.

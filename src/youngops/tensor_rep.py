@@ -25,8 +25,9 @@ batched matmul per block size.  Its inner dimension is the block size
 s, so the product runs through float64 BLAS while
 max|a| * max|b| * s < 2**53, where every partial sum is an exactly
 representable integer, through int64 below 2**63, and on Python
-integers past that.  `realize` and the partial trace carry int64 bounds
-of the same kind with an object fallback, so results are always exact.
+integers past that.  `realize` carries an int64 bound of the same kind
+with an object fallback, and the partial trace is a sum of N slices
+(`exact._lincomb`), so results are always exact.
 
 Size.  Every entry point reaches `basis_table(n, N)` first, and its
 construction applies `config.check_tensor_size`: so N^n beyond
@@ -46,7 +47,8 @@ import numpy as np
 
 from .config import check_tensor_size
 from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
-                    _integer, _maxabs, _wire_scalar)
+                    _integer, _integer_dtype, _lincomb, _maxabs,
+                    _wire_scalar)
 from .permutations import Perm
 from .sn_algebra import AlgebraElement, sn_table
 
@@ -261,15 +263,12 @@ class TensorOperator(_Exact):
 
     def partial_trace(self) -> "TensorOperator":
         """Contract the last slot: an N^(n-1)-dimensional operator with
-        entries sum_c M[(a, c), (b, c)]."""
+        entries sum_c M[(a, c), (b, c)]: a sum of N slices of num."""
         if self.n < 2:
             raise ValueError("partial trace requires n >= 2")
         m = self.N ** (self.n - 1)
-        # Each entry sums N entries of num: int64 while N * max|num| < 2**63.
-        num = self.num
-        if self.N * _maxabs(num) >= _I64_EXACT:
-            num = num.astype(object)
-        acc = np.trace(num.reshape(m, self.N, m, self.N), axis1=1, axis2=3)
+        num = self.num.reshape(m, self.N, m, self.N)
+        acc = _lincomb([(1, num[:, c, :, c]) for c in range(self.N)])
         return self._new(self.n - 1, self.N, acc, self.den)
 
     # -- JSON wire format -----------------------------------------------------------
@@ -325,7 +324,7 @@ def _block_matmul(basis: _BasisTable, x: np.ndarray, y: np.ndarray,
     out = np.empty(x.shape, dtype=dtype)
     for a, b, z in zip(basis.stacks(x), basis.stacks(y), basis.stacks(out)):
         np.matmul(a, b, out=z)
-    return out.astype(np.int64) if dtype is np.float64 else out
+    return out
 
 
 def _integer_rank(matrix: np.ndarray) -> int:
@@ -388,9 +387,9 @@ def realize(a: AlgebraElement, N: int) -> TensorOperator:
     inverses = table.images[table.inverse]
     cols = np.arange(dim)
     # D(sigma) has one 1 per column, so each entry sums at most one
-    # coefficient per permutation: int64 while sum |a_sigma| < 2**63.
-    dtype = np.int64 if sum(map(abs, a.num.tolist())) < _I64_EXACT else object
-    num = np.zeros((dim, dim), dtype=dtype)
+    # coefficient per permutation: at most sum |a_sigma|.
+    bound = sum(map(abs, a.num.tolist()))
+    num = np.zeros((dim, dim), dtype=_integer_dtype(bound))
     for i in np.flatnonzero(a.num):
         rows = basis.digits[:, inverses[i]] @ basis.place
         num[rows, cols] += int(a.num[i])

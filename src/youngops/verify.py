@@ -141,7 +141,12 @@ def _value_check(check_id: str, anchor: str,
 
 
 # The two operator families, by the letter their check ids carry.
-_FAMILIES = (("Y", young_operator), ("P", hermitian_young))
+_FAMILIES = ("Y", "P")
+
+
+def _build(kind: str, t: YoungTableau) -> AlgebraElement:
+    """Y_T or P_T by family letter, looked up when called."""
+    return young_operator(t) if kind == "Y" else hermitian_young(t)
 
 
 @lru_cache(maxsize=None)
@@ -158,8 +163,8 @@ def _dimension(shape: YoungDiagram) -> Polynomial:
 def _suite_idempotency(ctx: _Context) -> list[CheckResult]:
     out = []
     for t in ctx.tableaux:
-        for kind, build in _FAMILIES:
-            x = build(t)
+        for kind in _FAMILIES:
+            x = _build(kind, t)
             out.append(_equality_check(f"idempotency:{kind}:{t.to_string()}",
                                        f"{kind}_T {kind}_T = {kind}_T",
                                        x * x, x))
@@ -167,8 +172,7 @@ def _suite_idempotency(ctx: _Context) -> list[CheckResult]:
 
 
 def _transversality(ctx: _Context, kind: str, suite: str) -> list[CheckResult]:
-    build = dict(_FAMILIES)[kind]
-    ops = {t.to_string(): build(t) for t in ctx.tableaux}
+    ops = {t.to_string(): _build(kind, t) for t in ctx.tableaux}
     anchor = f"{kind}_T {kind}_U = delta_TU {kind}_T"
     zero = AlgebraElement.zero(ctx.n)
     out = []
@@ -200,10 +204,10 @@ def _suite_traces(ctx: _Context) -> list[CheckResult]:
     out = []
     for t in ctx.tableaux:
         want = _dimension(t.shape)
-        for kind, build in _FAMILIES:
+        for kind in _FAMILIES:
             out.append(_value_check(f"traces:{kind}:{t.to_string()}",
                                     "tr Y_T = tr P_T = f_T(N)/|T|",
-                                    build(t).trace_polynomial(), want))
+                                    _build(kind, t).trace_polynomial(), want))
     return out
 
 
@@ -215,11 +219,11 @@ def _suite_partial_trace(ctx: _Context) -> list[CheckResult]:
         name = t.to_string()
         parent, p, q = t.parent()
         ratio = Fraction(parent.shape.hook_product(), t.shape.hook_product())
-        for kind, build in _FAMILIES:
+        for kind in _FAMILIES:
             check_id = f"partial-trace:{kind}:{name}"
             anchor = f"tr' {kind}_T = (N+p-q) (|T'|/|T|) {kind}_T'"
-            looped, spliced = build(t).partial_trace()
-            want = build(parent).scale(ratio)
+            looped, spliced = _build(kind, t).partial_trace()
+            want = _build(kind, parent).scale(ratio)
             check = _equality_check(check_id, anchor, looped, want)
             if check.passed:
                 check = _equality_check(check_id, anchor,

@@ -188,12 +188,12 @@ def test_trace_polynomial_bound_edges(monkeypatch, limit, below, above):
                             naive_trace_polynomial(a)) == {path}
 
 
-@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_partial_trace_bound_edge(offset):
-    # Coefficient M on all of S_3: each entry of B sums the n-1 = 2
-    # spliced terms, 2 M = 2**63 + 2 offset, which is where the int64
-    # bound (n-1) * max|num| < 2**63 sits.  A is a gather and cannot
-    # overflow.
+    # Coefficient M on all of S_3: B sums the n-1 = 2 spliced rows, so
+    # `_lincomb`'s bound, the sum of their max|.|, is 2 M = 2**63 +
+    # 2 offset, and so is each entry of B: the int64 bound sits there.
+    # A is a gather and cannot overflow.
     M = 2 ** 62 + offset
     a = AlgebraElement(3, {p: M for p in all_permutations(3)})
     assert (2 * M < 2 ** 63) == (offset < 0)

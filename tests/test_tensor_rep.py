@@ -448,7 +448,7 @@ def test_block_rank_matches_dense_and_fraction_ranks(t):
     assert m.rank() == tensor_rep._integer_rank(m.num) == want
 
 
-@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_sum_and_scale_bound_edges(offset):
     # The int64 bound of a sum or a scaling is sum |k| * max|x| < 2**63.
     M = 2 ** 62 + offset  # x + y and x - (-y): 2 M = 2**63 + 2 offset
@@ -470,21 +470,24 @@ def test_sum_and_scale_bound_edges(offset):
         lambda a, b: a + b, fraction_matrix(p3), fraction_matrix(p5))
 
 
-@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_realize_bound_edge(offset):
-    # M e + (M + 1) (12) at N = 2: both permutations fix |00>, so that
-    # entry is sum |a_sigma| = 2 M + 1, where the int64 bound sits.
-    M = 2 ** 62 + (offset - 1) // 2
-    a = AlgebraElement(2, {(1, 2): M, (2, 1): M + 1})
-    assert 2 * M + 1 == 2 ** 63 + offset
+    # M e + (M + d) (12) at N = 2: both permutations fix |00>, so that
+    # entry is sum |a_sigma| = 2 M + d, where the int64 bound sits; d is
+    # 1 for an odd sum, 0 at the edge itself.
+    d = offset % 2
+    M = (2 ** 63 + offset - d) // 2
+    a = AlgebraElement(2, {(1, 2): M, (2, 1): M + d})
+    assert 2 * M + d == 2 ** 63 + offset
     assert fraction_matrix(realize(a, 2)) == naive_realize(a, 2)
 
 
-@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_matrix_partial_trace_bound_edge(offset):
     # Entry (0, 0) of the partial trace at N = 2 sums the entries M at
-    # |00> and |01>, which is where the int64 bound N * max|num| < 2**63
-    # sits.
+    # |00> and |01>, 2 M = 2**63 + 2 offset, and so does `_lincomb`'s
+    # bound over the N = 2 slices, the sum of their max|.|: the int64
+    # bound sits there.
     M = 2 ** 62 + offset
     x = _weight_diagonal(2, 2, [M, M, M - 1, M])
     assert (2 * M < 2 ** 63) == (offset < 0)

@@ -11,6 +11,7 @@ from youngops import (
     run_verification,
     young_operator,
 )
+from youngops import verify
 from youngops.verify import (
     _SUITES,
     OPT_IN_SUITES,
@@ -155,6 +156,20 @@ def test_check_ids_are_unique_across_every_suite():
     rep = run_verification(4, tensor_dims=[2, 3, 2], suites=SUITE_NAMES)
     ids = [c.check_id for s in rep.suites for c in s.checks]
     assert len(ids) == len(set(ids))
+
+
+def test_suites_call_the_builder_bound_at_call_time(monkeypatch):
+    # A rebound verify.young_operator (a tracer, a spy) is what the
+    # family suites call: traces builds Y_T once per standard tableau.
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return young_operator(t)
+
+    monkeypatch.setattr(verify, "young_operator", counting)
+    assert run_verification(3, suites=["traces"]).passed
+    assert len(calls) == 4
 
 
 def test_duplicate_suite_requests_run_once():
