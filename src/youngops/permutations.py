@@ -4,25 +4,42 @@ A permutation is a tuple p of length n with p[k-1] = p(k); entries are
 1-based. Composition follows operator order: (a * b)(k) = a(b(k)), i.e.
 b acts first. This matches how permutation operators multiply when each
 permutes the factors of a tensor product.
+Every permutation read goes through the one permutation check,
+`_checked`; degrees and slots follow the integer rule (`exact._integer`).
 """
 from __future__ import annotations
 
 from itertools import permutations as _itertools_permutations
-from typing import Iterator
+from typing import Iterator, Sequence
+
+from .exact import _integer
 
 Perm = tuple[int, ...]
 
 
+def _checked(p: Sequence[int], n: int | None = None) -> Perm:
+    """p as a tuple of ints after the permutation check: every entry by
+    the integer rule, and p a bijection of 1..n, n = len(p) by default;
+    a failure raises TypeError or ValueError."""
+    p = tuple(_integer(x) for x in p)
+    n = len(p) if n is None else n
+    if sorted(p) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {p}")
+    return p
+
+
 def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
+    return tuple(range(1, _integer(n) + 1))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
-    """a after b: (a*b)(k) = a(b(k))."""
-    return tuple(a[x - 1] for x in b)
+    """a after b: (a*b)(k) = a(b(k)), both of one degree."""
+    a = _checked(a)
+    return tuple(a[x - 1] for x in _checked(b, len(a)))
 
 
 def inverse(p: Perm) -> Perm:
+    p = _checked(p)
     inv = [0] * len(p)
     for k, x in enumerate(p, start=1):
         inv[x - 1] = k
@@ -30,7 +47,10 @@ def inverse(p: Perm) -> Perm:
 
 
 def transposition(n: int, i: int, j: int) -> Perm:
-    """The permutation of 1..n exchanging i and j."""
+    """The permutation of 1..n exchanging i and j, both in 1..n."""
+    n, i, j = _integer(n), _integer(i), _integer(j)
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"slots {i}, {j} outside 1..{n}")
     p = list(range(1, n + 1))
     p[i - 1], p[j - 1] = j, i
     return tuple(p)
@@ -39,6 +59,7 @@ def transposition(n: int, i: int, j: int) -> Perm:
 def cycles(p: Perm) -> list[tuple[int, ...]]:
     """Cycle decomposition including fixed points, each cycle led by its
     smallest element, cycles sorted by leading element."""
+    p = _checked(p)
     seen = [False] * len(p)
     out = []
     for start in range(1, len(p) + 1):

@@ -8,8 +8,8 @@ numerators are int64 whenever every entry fits and Python integers
 (object dtype) when one does not; sums, scaling and equality are those
 of every exact value (`exact._Exact`).  What depends on n alone -- the
 permutations in rank order, the composition table, the inverse,
-cycle-count and sign vectors, the index maps of embedding and partial
-trace, and one Young-operator template per shape -- is held by one
+cycle-count and sign vectors, the index map of the partial trace, and
+one Young-operator template per shape -- is held by one
 read-only table per n, each part built on first use: the composition
 table by the first product, its one reader.
 
@@ -44,7 +44,8 @@ import numpy as np
 from .config import check_algebra_size
 from .exact import (_Exact, _common_denominator, _exact_dtype, _integer,
                     _lincomb, _maxabs, _scalar, _wire_scalar)
-from .permutations import Perm, all_permutations, cycle_count, cycle_type
+from .permutations import (Perm, _checked, all_permutations, cycle_count,
+                           cycle_type)
 from .polynomial import Polynomial
 from .tableaux import YoungTableau
 
@@ -107,7 +108,6 @@ class _SnTable:
         self.inverse = _frozen(self.ranks(np.argsort(self.images, axis=1)))
         self.cycles = _frozen(np.array([cycle_count(p) for p in self.perms]))
         self.sign = _frozen(np.where((n - self.cycles) % 2, -1, 1))
-        self._embeddings: dict[int, np.ndarray] = {}
         self._templates: dict[tuple[int, ...], _YoungTemplate] = {}
 
     def ranks(self, images: np.ndarray) -> np.ndarray:
@@ -115,19 +115,11 @@ class _SnTable:
         return self._rank_of_code[images @ self._weights]
 
     def checked_ranks(self, perms: Iterable[Sequence[int]]) -> np.ndarray:
-        """Ranks of the given permutations, after the permutation check:
-        every entry follows the integer rule (else TypeError), and every
-        permutation must be a bijection of 1..n (else ValueError).  The
-        bijection test comes first, because `_rank_of_code` reads 0, the
-        identity, for a code that is no permutation; then all are ranked
-        in one `ranks` call."""
-        want = list(range(1, self.n + 1))
-        rows = []
-        for p in perms:
-            p = tuple(_integer(x) for x in p)
-            if sorted(p) != want:
-                raise ValueError(f"not a permutation of 1..{self.n}: {p}")
-            rows.append(p)
+        """Ranks of the given permutations of 1..n, after the permutation
+        check (`permutations._checked`).  The check comes first, because
+        `_rank_of_code` reads 0, the identity, for a code that is no
+        permutation; then all are ranked in one `ranks` call."""
+        rows = [_checked(p, self.n) for p in perms]
         images = np.array(rows, dtype=np.intp).reshape(len(rows), self.n)
         return self.ranks(images - 1)
 
@@ -167,13 +159,8 @@ class _SnTable:
 
     def embedding(self, m: int) -> np.ndarray:
         """Ranks of S_m fixing m+1, ..., n, in S_m's rank order: where
-        `embed_element` writes A(S_m) and `partial_trace` reads it.
-        Built once per m."""
-        ranks = self._embeddings.get(m)
-        if ranks is None:
-            ranks = _frozen(self.young_subgroup([range(1, m + 1)]))
-            self._embeddings[m] = ranks
-        return ranks
+        `embed_element` writes A(S_m) and `partial_trace` reads it."""
+        return self.young_subgroup([range(1, m + 1)])
 
     def young_template(self, shape: tuple[int, ...]) -> _YoungTemplate:
         """Y_T0 for the row-reading tableau T0 of `shape` (its rows filled
@@ -254,6 +241,8 @@ def _convolve(table: _SnTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         inv = table.inverse
         return _convolve(table, b[inv], a[inv])[inv]
     out_len = len(a)
+    # Not dead: with a zero factor the bound is 0, and the float64 cast
+    # below would overflow on the other factor's numerators past 2**1024.
     if not len(rows):
         return np.zeros(out_len, dtype=np.int64)
     dtype = _exact_dtype(_maxabs(a) * _maxabs(b) * len(rows))
@@ -427,8 +416,6 @@ def embed_element(a: AlgebraElement, n: int) -> AlgebraElement:
     m+1, ..., n (tensoring with the identity on the right)."""
     if n < a.n:
         raise ValueError(f"cannot embed degree {a.n} into degree {n}")
-    if n == a.n:
-        return a
     table = sn_table(n)
     num = np.zeros(table.size, dtype=a.num.dtype)
     num[table.embedding(a.n)] = a.num

@@ -17,6 +17,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .config import check_tableau_size
 from .exact import _integer
+from .permutations import _checked
 from .polynomial import Polynomial
 
 
@@ -138,9 +139,7 @@ class YoungTableau:
     def __init__(self, rows: Sequence[Sequence[int]]):
         rs = tuple(tuple(_integer(x) for x in row) for row in rows)
         shape = YoungDiagram([len(row) for row in rs])  # validates the shape
-        flat = sorted(x for row in rs for x in row)
-        if flat != list(range(1, shape.n + 1)):
-            raise ValueError(f"entries must be a bijection onto 1..{shape.n}: {rs}")
+        _checked(sum(rs, ()))  # the entries, a bijection onto 1..n
         self.rows = rs
         self.shape = shape
 

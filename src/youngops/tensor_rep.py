@@ -50,13 +50,14 @@ from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
                     _integer, _integer_dtype, _lincomb, _maxabs,
                     _wire_scalar)
 from .permutations import Perm
-from .sn_algebra import AlgebraElement, sn_table
+from .sn_algebra import AlgebraElement, _frozen, sn_table
 
 
 def encode(digits: Sequence[int], N: int) -> int:
-    """Multi-index -> flat index, slot 1 most significant."""
-    out = 0
-    for d in digits:
+    """Multi-index -> flat index, slot 1 most significant; every digit
+    and N by the integer rule."""
+    out, N = 0, _integer(N)
+    for d in map(_integer, digits):
         if not 0 <= d < N:
             raise ValueError(f"digit {d} outside 0..{N - 1}")
         out = out * N + d
@@ -64,7 +65,8 @@ def encode(digits: Sequence[int], N: int) -> int:
 
 
 def decode(index: int, N: int, n: int) -> tuple[int, ...]:
-    """Flat index -> multi-index of n digits."""
+    """Flat index -> multi-index of n digits; all by the integer rule."""
+    index, N, n = _integer(index), _integer(N), _integer(n)
     if not 0 <= index < N ** n:
         raise ValueError(f"index {index} outside 0..{N ** n - 1}")
     digits = []
@@ -89,28 +91,29 @@ class _BasisTable:
     indices each, in ascending order; `largest` is the largest s.
     `entries` picks the diagonal-block entries from num.ravel() of an
     N^n x N^n matrix: group by group, block by block, row-major within
-    a block.
+    a block.  Every array is read-only: all later operators read it.
     """
 
     def __init__(self, n: int, N: int):
         self.dim = dim = check_tensor_size(n, N)
-        self.digits = np.empty((dim, n), dtype=np.int64)
+        digits = np.empty((dim, n), dtype=np.int64)
         idx = np.arange(dim)
         for k in range(n - 1, -1, -1):
-            idx, self.digits[:, k] = np.divmod(idx, N)
-        self.place = N ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        self.weight = np.sort(self.digits, axis=1) @ self.place
+            idx, digits[:, k] = np.divmod(idx, N)
+        self.digits = _frozen(digits)
+        self.place = _frozen(N ** np.arange(n - 1, -1, -1, dtype=np.int64))
+        self.weight = _frozen(np.sort(digits, axis=1) @ self.place)
         members = np.argsort(self.weight, kind="stable")
         sizes = np.bincount(self.weight)
         sizes = sizes[sizes > 0]
         starts = np.cumsum(sizes) - sizes
         self.groups = tuple(
-            (s, members[starts[sizes == s][:, None] + np.arange(s)])
+            (s, _frozen(members[starts[sizes == s][:, None] + np.arange(s)]))
             for s in sorted(set(sizes.tolist())))
         self.largest = self.groups[-1][0]
-        self.entries = np.concatenate(
+        self.entries = _frozen(np.concatenate(
             [(idx[:, :, None] * dim + idx[:, None, :]).ravel()
-             for _, idx in self.groups])
+             for _, idx in self.groups]))
 
     def stacks(self, flat: np.ndarray) -> list[np.ndarray]:
         """A flat vector of block entries as (k, s, s) views, one per
@@ -328,46 +331,27 @@ def _block_matmul(basis: _BasisTable, x: np.ndarray, y: np.ndarray,
 
 
 def _integer_rank(matrix: np.ndarray) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination.
-
-    Rows are divided by their gcd after each step and pivots are chosen
-    with the smallest nonzero magnitude, which keeps entry growth mild
-    for the projector matrices this package produces.
-    """
+    """Rank over Q of an integer matrix, by fraction-free elimination:
+    each pivot is the smallest nonzero entry of its column, and each
+    changed row is divided by its gcd, which keeps entry growth mild."""
     rows = [[int(v) for v in row] for row in matrix if any(row)]
-    ncols = matrix.shape[1]
     rank = 0
-    col = 0
-    while rows and col < ncols:
-        pivot_idx = None
-        pivot_abs = None
-        for i, row in enumerate(rows):
-            v = abs(row[col])
-            if v and (pivot_abs is None or v < pivot_abs):
-                pivot_idx, pivot_abs = i, v
-        if pivot_idx is None:
-            col += 1
+    for col in range(matrix.shape[1]):
+        live = [row for row in rows if row[col]]
+        if not live:
             continue
-        pivot_row = rows.pop(pivot_idx)
-        pv = pivot_row[col]
+        pivot = min(live, key=lambda row: abs(row[col]))
+        rows.remove(pivot)
         rank += 1
-        reduced = []
+        pv, reduced = pivot[col], []
         for row in rows:
-            rv = row[col]
-            if rv:
-                row = [pv * x - rv * y for x, y in zip(row, pivot_row)]
-                g = 0
-                for x in row:
-                    if x:
-                        g = gcd(g, abs(x))
-                        if g == 1:
-                            break
-                if g > 1:
-                    row = [x // g for x in row]
-            if any(row):
-                reduced.append(row)
+            if rv := row[col]:
+                row = [pv * x - rv * y for x, y in zip(row, pivot)]
+                if not (g := gcd(*row)):
+                    continue  # the row vanished
+                row = [x // g for x in row]
+            reduced.append(row)
         rows = reduced
-        col += 1
     return rank
 
 

@@ -1,6 +1,7 @@
 from math import factorial
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from youngops.permutations import (
@@ -88,3 +89,42 @@ def test_perms_of_is_the_subgroup_on_the_subset():
     assert len(list(perms_of([1, 3, 5], 5))) == 6
     for p in perms_of([1, 3, 5], 5):
         assert p[1] == 2 and p[3] == 4
+
+
+@pytest.mark.parametrize("bad", [(1, 1), (2, 2), (0, 1), (1, 3), (2, 0, 1)])
+def test_non_permutations_are_refused(bad):
+    # each of these once looped forever or returned garbage
+    for f in (cycles, cycle_count, cycle_type, sign, inverse):
+        with pytest.raises(ValueError, match="not a permutation"):
+            f(bad)
+    with pytest.raises(ValueError, match="not a permutation"):
+        compose(bad, identity(len(bad)))
+    with pytest.raises(ValueError, match="not a permutation"):
+        compose(identity(len(bad)), bad)
+
+
+def test_permutation_entries_follow_the_integer_rule():
+    for bad in ((1.0, 2), (True, 2), ("1", "2")):
+        with pytest.raises(TypeError):
+            cycles(bad)
+    assert cycles((np.int64(2), np.int8(1))) == [(1, 2)]
+    with pytest.raises(TypeError):
+        identity(2.0)
+
+
+def test_compose_refuses_two_degrees():
+    with pytest.raises(ValueError, match=r"1\.\.2"):
+        compose((2, 1), (1, 2, 3))
+    with pytest.raises(ValueError, match=r"1\.\.3"):
+        compose((1, 2, 3), (2, 1))
+
+
+def test_transposition_slots_lie_in_one_to_n():
+    assert transposition(3, 3, 1) == (3, 2, 1)
+    assert transposition(np.int64(2), np.int8(1), 2) == (2, 1)
+    for args in ((3, 0, 1), (3, 1, 4), (0, 1, 1)):
+        with pytest.raises(ValueError):
+            transposition(*args)
+    for args in ((3.0, 1, 2), (3, True, 2), (3, 1, 2.0)):
+        with pytest.raises(TypeError):
+            transposition(*args)

@@ -203,6 +203,14 @@ def test_partial_trace_bound_edge(offset):
     assert spliced.num.dtype == (np.int64 if offset < 0 else object)
 
 
+def test_zero_product_exact_past_float64():
+    # a zero factor has bound 0, yet the other factor's numerators are
+    # past float64's range: the product must not cast them
+    zero = AlgebraElement.zero(2)
+    big = AlgebraElement.from_perm((2, 1), 2 ** 1100)
+    assert (zero * big).is_zero() and (big * zero).is_zero()
+
+
 def test_equal_elements_hash_equal():
     as_int = AlgebraElement(2, {(2, 1): 1})
     as_frac = AlgebraElement(2, {(2, 1): F(3, 3)})
@@ -497,6 +505,15 @@ def test_leading_young_subgroup_is_s_k_in_rank_order():
             assert np.array_equal(table.embedding(k), ranks)
 
 
+def test_permutation_check_message_names_the_degree():
+    table = sn_algebra.sn_table(3)
+    for p in ((1, 1, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2)):
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
+            table.checked_ranks([p])
+    with pytest.raises(TypeError):
+        table.checked_ranks([(1.0, 2, 3)])
+
+
 def test_young_subgroup_matches_brute_force():
     # The row and column groups of every filling up to n = 4 and every
     # standard tableau up to n = 6, each permutation listed once.
@@ -568,7 +585,6 @@ def test_table_arrays_are_read_only():
         "splice": table.splice, "classes": table.classes,
         "template.images": template.images,
         "template.signs": template.signs,
-        "embedding": table.embedding(3),
     }
     for name, array in arrays.items():
         with pytest.raises(ValueError):

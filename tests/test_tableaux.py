@@ -135,6 +135,10 @@ def test_tableau_validation():
         YoungTableau([[1, 2], [2]])  # not a bijection
     with pytest.raises(ValueError):
         YoungTableau([[1, 2], [4]])  # misses 3
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
+        YoungTableau([[0, 1], [2]])  # 0 is no entry
+    with pytest.raises(TypeError):
+        YoungTableau([[1, 2.0], [3]])
 
 
 def test_numpy_integer_entries_equal_int_entries():

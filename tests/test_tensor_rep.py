@@ -60,6 +60,16 @@ def test_codec_round_trip():
         encode((0, 2), 2)
 
 
+def test_codec_follows_the_integer_rule():
+    for bad in (lambda: encode([1.5], 2), lambda: encode([True, False], 2),
+                lambda: encode([1], 2.0), lambda: decode(2.0, 2, 2),
+                lambda: decode(True, 2, 1), lambda: decode(1, 2, 1.0)):
+        with pytest.raises(TypeError):
+            bad()
+    assert encode([np.int64(1), np.int8(0)], np.int64(2)) == 2
+    assert decode(np.int64(2), np.int32(2), np.uint8(2)) == (1, 0)
+
+
 # -- the slot-action fixture ---------------------------------------------------
 
 
@@ -422,6 +432,19 @@ def test_matmul_bound_edges(monkeypatch, limit, below, above):
         assert _matmul_path(monkeypatch, a, b) == {path}
 
 
+def test_basis_table_arrays_are_read_only():
+    # every operator on (C^N)^(x n) reads the one cached table, so one
+    # stray write would corrupt them all
+    basis = tensor_rep.basis_table(3, 2)
+    arrays = {"digits": basis.digits, "place": basis.place,
+              "weight": basis.weight, "entries": basis.entries}
+    arrays.update((f"groups[{s}]", idx) for s, idx in basis.groups)
+    for name, array in arrays.items():
+        with pytest.raises(ValueError):
+            array.flat[0] = array.flat[0]
+        assert not array.flags.writeable, name
+
+
 @pytest.mark.parametrize("limit, below, above", [
     (2 ** 53, np.float64, np.int64),
     (2 ** 63, np.int64, object),
@@ -446,6 +469,22 @@ def test_block_rank_matches_dense_and_fraction_ranks(t):
     _assert_blocks_kept(m)
     want = naive_rank(fraction_matrix(m))
     assert m.rank() == tensor_rep._integer_rank(m.num) == want
+
+
+def test_integer_rank_edge_cases():
+    rank = tensor_rep._integer_rank
+    assert rank(np.zeros((0, 3), dtype=np.int64)) == 0
+    assert rank(np.zeros((2, 3), dtype=np.int64)) == 0
+    # the third row vanishes after the first pivot, the last after the
+    # second; negative pivots and a zero row throughout
+    m = np.array([[-2, 4, 6, 0],
+                  [0, 0, 0, 0],
+                  [3, -6, -9, 0],
+                  [0, -3, 1, 5],
+                  [-4, 5, 13, 5]], dtype=object)
+    assert rank(m) == naive_rank([[F(v) for v in row] for row in m]) == 2
+    assert rank(m * 2 ** 70) == 2
+    assert rank(np.array([[0, -5], [-7, 0]])) == 2
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -549,6 +588,7 @@ def test_operations_match_fraction_oracle_at_every_magnitude(case):
     if c:
         assert fraction_matrix(a / c) == [[x / c for x in row] for row in fa]
     assert a.trace() == sum(fa[i][i] for i in range(len(fa)))
+    assert a.rank() == naive_rank(fa)
     if n >= 2:
         assert (fraction_matrix(a.partial_trace())
                 == naive_matrix_partial_trace(fa, N))

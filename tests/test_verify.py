@@ -17,6 +17,7 @@ from youngops.verify import (
     OPT_IN_SUITES,
     SUITE_NAMES,
     UnknownSuiteError,
+    _equality_check,
     _value_check,
     default_suites,
     read_tensor_dims,
@@ -237,3 +238,13 @@ def test_witness_text_is_the_same_on_object_numerators():
     assert wide.num.dtype == object
     assert (wide.first_difference(m.transpose() + corner)
             == m.first_difference(m.transpose()))
+
+
+def test_equality_check_can_want_a_difference():
+    one, zero = AlgebraElement.one(3), AlgebraElement.zero(3)
+    assert _equality_check("x", "a", one, zero, equal=False) == (
+        verify.CheckResult("x", "a", True, ""))
+    assert _equality_check("x", "a", zero, zero, equal=False) == (
+        verify.CheckResult("x", "a", False, "equal, want a difference"))
+    failed = _equality_check("x", "a", one, zero)
+    assert not failed.passed and failed.witness == one.first_difference(zero)

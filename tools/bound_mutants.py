@@ -1,6 +1,6 @@
 """Mutation gate for the overflow bounds of the exact kernels.
 
-Each mutant below weakens one dtype threshold or one proved bound in a
+Each mutant below weakens one dtype threshold, proved bound or guard in a
 fresh copy of `src/`; the bound-edge tests, run against that copy, must
 fail on every one.  A mutant that no test catches is a bound that no
 test hits at its edge.
@@ -40,6 +40,11 @@ MUTANTS = [
      "_maxabs(a) * _maxabs(b)"),
     ("sn_algebra.py", "_maxabs(a) * _maxabs(b) * len(rows)",
      "_maxabs(a) * len(rows)"),
+    # the product's zero-support return: with a zero factor the bound
+    # is 0, and a float64 cast of the other factor would overflow
+    ("sn_algebra.py",
+     "    if not len(rows):\n        return np.zeros(out_len, dtype=np.int64)\n",
+     ""),
     # the trace polynomial: max|num| * |supp num|
     ("sn_algebra.py", "_maxabs(self.num) * int(np.count_nonzero(self.num))",
      "_maxabs(self.num)"),
