@@ -20,13 +20,16 @@ the subclass.
 Everything read from outside follows two rules kept here: `_integer`
 for integers (degrees, dimensions, indices, tableau entries and
 permutation entries) and `_scalar` for exact scalars.  Neither accepts
-a bool or truncates a float.
+a bool or truncates a float.  `_integer_table` keys the per-degree
+tables on the integer rule.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from numbers import Integral, Rational
+from operator import is_
 
 import numpy as np
 
@@ -109,6 +112,18 @@ def _integer(x: object) -> int:
     if isinstance(x, bool) or not isinstance(x, Integral):
         raise TypeError(f"expected an integer, got {x!r}")
     return int(x)
+
+
+def _integer_table(build):
+    """`build` cached on its integer keys for the life of the process.
+    Int keys build the table, other integers get the table of their
+    ints, anything else fails the integer rule.  Keys are typed, as
+    True == 1 and 2.0 == np.int64(2) would share an entry otherwise."""
+    @lru_cache(maxsize=None, typed=True)
+    def table(*keys):
+        ints = tuple(map(_integer, keys))
+        return build(*keys) if all(map(is_, ints, keys)) else table(*ints)
+    return table
 
 
 def _scalar(c) -> Fraction:

@@ -93,5 +93,5 @@ def sign(p: Perm) -> int:
 
 def all_permutations(n: int) -> Iterator[Perm]:
     """All n! permutations of 1..n in lexicographic one-line order."""
-    return _itertools_permutations(range(1, n + 1))
+    return _itertools_permutations(range(1, _integer(n) + 1))
 

@@ -15,7 +15,7 @@ from itertools import zip_longest
 from numbers import Rational
 from typing import Iterable, Mapping
 
-from .exact import _scalar, _wire_scalar
+from .exact import _integer, _scalar, _wire_scalar
 
 
 class Polynomial:
@@ -31,6 +31,9 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, degree: int, coeff: Rational = 1) -> "Polynomial":
+        """coeff * N**degree, the degree a nonnegative integer."""
+        if (degree := _integer(degree)) < 0:
+            raise ValueError(f"negative degree {degree}")
         return cls([0] * degree + [coeff])
 
     @classmethod

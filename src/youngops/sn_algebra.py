@@ -34,16 +34,16 @@ coefficient stays rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import check_algebra_size
+from .config import ALGEBRA_MAX_N, SizeLimitError
 from .exact import (_Exact, _common_denominator, _exact_dtype, _integer,
-                    _lincomb, _maxabs, _scalar, _wire_scalar)
+                    _integer_table, _lincomb, _maxabs, _scalar, _wire_scalar)
 from .permutations import (Perm, _checked, all_permutations, cycle_count,
                            cycle_type)
 from .polynomial import Polynomial
@@ -91,11 +91,14 @@ class _SnTable:
     `_rank_of_code` (n**n entries) turns codes back into ranks, so each
     map below is built a row at a time with no n! x n! x n intermediate.
     Every array the table keeps is read-only once built, since all later
-    operators read it.
+    operators read it.  Degrees outside 1..ALGEBRA_MAX_N are refused.
     """
 
     def __init__(self, n: int):
-        check_algebra_size(n)
+        if not 1 <= n <= ALGEBRA_MAX_N:
+            raise SizeLimitError(
+                f"A(S_{n}) is outside the supported degrees 1..{ALGEBRA_MAX_N}: "
+                f"elements are stored over all n! permutations")
         self.n = n
         self.perms: list[Perm] = list(all_permutations(n))
         self.size = len(self.perms)
@@ -206,13 +209,8 @@ class _SnTable:
         return _frozen(moved.reshape(-1, last).T)
 
 
-@lru_cache(maxsize=None, typed=True)
-def sn_table(n: int) -> _SnTable:
-    """The table of S_n, built on first use and kept for the process.
-    An int n builds it, any other integer gets its int's table, the rest
-    fail the integer rule; keys are typed, as 3.0 == np.int64(3)."""
-    m = _integer(n)
-    return _SnTable(m) if m is n else sn_table(m)
+# The table of S_n, built on first use and kept for the process.
+sn_table = _integer_table(_SnTable)
 
 
 # -- exact integer kernels ------------------------------------------------------
@@ -408,34 +406,37 @@ class AlgebraElement(_Exact):
             if perm in terms:
                 raise ValueError(f"permutation {perm} appears twice")
             terms[perm] = _wire_scalar(t["coeff"])
-        return cls(_integer(data["n"]), terms)
+        return cls(data["n"], terms)
 
 
 def embed_element(a: AlgebraElement, n: int) -> AlgebraElement:
     """Include A(S_m) into A(S_n), m <= n, fixing the trailing slots
     m+1, ..., n (tensoring with the identity on the right)."""
-    if n < a.n:
-        raise ValueError(f"cannot embed degree {a.n} into degree {n}")
     table = sn_table(n)
+    if table.n < a.n:
+        raise ValueError(f"cannot embed degree {a.n} into degree {n}")
     num = np.zeros(table.size, dtype=a.num.dtype)
     num[table.embedding(a.n)] = a.num
-    return AlgebraElement._new(n, num, a.den)
+    return AlgebraElement._new(table.n, num, a.den)
 
 
 # -- symmetrizers ------------------------------------------------------------
 
 
 def _subset_sum(slots: Iterable[int], n: int, signed: bool) -> AlgebraElement:
-    vals = sorted(set(slots))
+    vals = sorted(map(_integer, slots))
     if not vals:
         raise ValueError("slot subset must be nonempty")
-    if vals[0] < 1 or vals[-1] > n:
-        raise ValueError(f"slots {vals} outside 1..{n}")
+    for low, high in zip(vals, vals[1:]):
+        if low == high:
+            raise ValueError(f"slot {low} appears twice")
     table = sn_table(n)
+    if vals[0] < 1 or vals[-1] > table.n:
+        raise ValueError(f"slots {vals} outside 1..{n}")
     ranks = table.young_subgroup([vals])
     num = np.zeros(table.size, dtype=np.int64)
     num[ranks] = table.sign[ranks] if signed else 1
-    return AlgebraElement._new(n, num, len(ranks))
+    return AlgebraElement._new(table.n, num, len(ranks))
 
 
 def symmetrizer(slots: Iterable[int], n: int) -> AlgebraElement:

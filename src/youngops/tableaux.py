@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import factorial, prod
 from typing import Iterator, Mapping, Sequence
 
-from .config import check_tableau_size
+from .config import TABLEAU_MAX_N, SizeLimitError
 from .exact import _integer
 from .permutations import _checked
 from .polynomial import Polynomial
@@ -24,7 +24,7 @@ from .polynomial import Polynomial
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n in descending lexicographic order, e.g.
     partitions(4) -> (4), (3,1), (2,2), (2,1,1), (1,1,1,1)."""
-    if n < 0:
+    if (n := _integer(n)) < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
 
     def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -218,7 +218,7 @@ class YoungTableau:
         """Parse the compact "row/row/..." form, e.g. "123/45"."""
         rows = []
         for part in text.strip().split("/"):
-            if not part or not part.isdigit():
+            if not (part.isascii() and part.isdigit()):
                 raise ValueError(f"bad tableau string {text!r}")
             rows.append([int(ch) for ch in part])
         return cls(rows)
@@ -252,7 +252,9 @@ def enumerate_syt(n: int) -> list[YoungTableau]:
     """All standard Young tableaux with n boxes, in the canonical order
     (row word ascending, then shape descending lexicographically).
     n outside 1..TABLEAU_MAX_N raises SizeLimitError before any is grown."""
-    check_tableau_size(n)
+    if not 1 <= (n := _integer(n)) <= TABLEAU_MAX_N:
+        raise SizeLimitError(f"n={n} is outside the supported tableau sizes "
+                             f"1..{TABLEAU_MAX_N}")
     # Grow by placing m at every outer corner of each standard tableau
     # with m-1 boxes; every standard tableau arises exactly once since
     # removing its largest entry is the inverse step.

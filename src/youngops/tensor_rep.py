@@ -29,9 +29,10 @@ integers past that.  `realize` carries an int64 bound of the same kind
 with an object fallback, and the partial trace is a sum of N slices
 (`exact._lincomb`), so results are always exact.
 
-Size.  Every entry point reaches `basis_table(n, N)` first, and its
-construction applies `config.check_tensor_size`: so N^n beyond
-TENSOR_MAX_DIM raises SizeLimitError before anything is allocated.
+Size and keys.  Every entry point reaches `basis_table(n, N)` first.
+It reads n and N by the integer rule, and its construction refuses
+n < 0, N < 1 and N^n beyond TENSOR_MAX_DIM (SizeLimitError) before
+anything is allocated; every operator takes its ints n and N from it.
 
 Basis order: a multi-index (a_1, ..., a_n) with digits in 0..N-1 maps
 to the integer whose base-N digits it is, slot 1 most significant.
@@ -39,16 +40,15 @@ to the integer whose base-N digits it is, slot 1 most significant.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import gcd
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import check_tensor_size
+from .config import TENSOR_MAX_DIM, SizeLimitError
 from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
-                    _integer, _integer_dtype, _lincomb, _maxabs,
-                    _wire_scalar)
+                    _integer, _integer_dtype, _integer_table, _lincomb,
+                    _maxabs, _wire_scalar)
 from .permutations import Perm
 from .sn_algebra import AlgebraElement, _frozen, sn_table
 
@@ -79,8 +79,8 @@ def decode(index: int, N: int, n: int) -> tuple[int, ...]:
 class _BasisTable:
     """The basis of (C^N)^(x n) by flat index, and its weight blocks.
 
-    Construction first applies the tensor size rule
-    (`config.check_tensor_size`); `dim` is N^n.  `digits[i]` is
+    Construction first refuses n < 0, N < 1 and N^n beyond
+    TENSOR_MAX_DIM; `dim` is N^n.  `digits[i]` is
     decode(i) and `place` the base-N place value of each slot.
     `weight[i]` is the index of basis vector i with its digits sorted,
     which labels its digit multiset; the indices of one label form a
@@ -95,7 +95,14 @@ class _BasisTable:
     """
 
     def __init__(self, n: int, N: int):
-        self.dim = dim = check_tensor_size(n, N)
+        if n < 0 or N < 1:
+            raise ValueError(f"need n >= 0 and N >= 1, got n={n}, N={N}")
+        dim = N ** n
+        if dim > TENSOR_MAX_DIM:
+            raise SizeLimitError(
+                f"N^n = {N}^{n} = {dim} exceeds the tensor cap "
+                f"{TENSOR_MAX_DIM}: operators are N^n x N^n matrices")
+        self.n, self.N, self.dim = n, N, dim
         digits = np.empty((dim, n), dtype=np.int64)
         idx = np.arange(dim)
         for k in range(n - 1, -1, -1):
@@ -126,10 +133,8 @@ class _BasisTable:
         return out
 
 
-@cache
-def basis_table(n: int, N: int) -> _BasisTable:
-    """The basis table of (C^N)^(x n), built on first use and kept."""
-    return _BasisTable(n, N)
+# The basis table of (C^N)^(x n), built on first use and kept.
+basis_table = _integer_table(_BasisTable)
 
 
 class TensorOperator(_Exact):
@@ -164,7 +169,7 @@ class TensorOperator(_Exact):
                              "off the weight blocks")
         # -2**63 fits int64, but its magnitude does not.
         wide = num.dtype == np.int64 and num.size and num.min() == -_I64_EXACT
-        self.n, self.N = n, N
+        self.n, self.N = basis.n, basis.N
         self._store(num.astype(object) if wide else num, den)
 
     def _space(self) -> tuple[int, int]:
@@ -211,12 +216,13 @@ class TensorOperator(_Exact):
     def identity(cls, n: int, N: int) -> "TensorOperator":
         basis = basis_table(n, N)
         row, col = np.divmod(basis.entries, basis.dim)
-        return cls._new(n, N, (row == col).astype(np.int64), 1)
+        return cls._new(basis.n, basis.N, (row == col).astype(np.int64), 1)
 
     @classmethod
     def zero(cls, n: int, N: int) -> "TensorOperator":
-        entries = basis_table(n, N).entries
-        return cls._new(n, N, np.zeros(entries.size, dtype=np.int64), 1)
+        basis = basis_table(n, N)
+        return cls._new(basis.n, basis.N,
+                        np.zeros(basis.entries.size, dtype=np.int64), 1)
 
     # -- structure ------------------------------------------------------------
 
@@ -287,8 +293,8 @@ class TensorOperator(_Exact):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TensorOperator":
-        n, N = _integer(data["n"]), _integer(data["N"])
-        dim = basis_table(n, N).dim
+        basis = basis_table(data["n"], data["N"])
+        dim = basis.dim
         entries = {}
         for r, c, s in data["entries"]:
             r, c = _integer(r), _integer(c)
@@ -298,8 +304,8 @@ class TensorOperator(_Exact):
             if (r, c) in entries:
                 raise ValueError(f"entry ({r}, {c}) appears twice")
             entries[r, c] = _wire_scalar(s)
-        return cls(n, N, *_common_denominator((dim, dim),
-                                              list(entries.items())))
+        return cls(basis.n, basis.N,
+                   *_common_denominator((dim, dim), list(entries.items())))
 
 
 def _block_matmul(basis: _BasisTable, x: np.ndarray, y: np.ndarray,
@@ -364,10 +370,9 @@ def realize(a: AlgebraElement, N: int) -> TensorOperator:
     realizes at a concrete N as realize(A.scale(N) + B, N).  N^n beyond
     TENSOR_MAX_DIM raises SizeLimitError before anything is allocated.
     """
-    n = a.n
-    basis = basis_table(n, N)
+    basis = basis_table(a.n, N)
     dim = basis.dim
-    table = sn_table(n)
+    table = sn_table(a.n)
     inverses = table.images[table.inverse]
     cols = np.arange(dim)
     # D(sigma) has one 1 per column, so each entry sums at most one
@@ -377,7 +382,7 @@ def realize(a: AlgebraElement, N: int) -> TensorOperator:
     for i in np.flatnonzero(a.num):
         rows = basis.digits[:, inverses[i]] @ basis.place
         num[rows, cols] += int(a.num[i])
-    return TensorOperator._new(n, N, num, a.den)
+    return TensorOperator._new(basis.n, basis.N, num, a.den)
 
 
 def permutation_matrix(p: Perm, N: int) -> TensorOperator:

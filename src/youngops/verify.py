@@ -15,17 +15,17 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .config import check_algebra_size, check_tensor_size
 from .exact import _Exact, _integer
 from .polynomial import Polynomial
 from .sn_algebra import (
     AlgebraElement,
     embed_element,
     hermitian_young,
+    sn_table,
     young_operator,
 )
 from .tableaux import YoungDiagram, YoungTableau, enumerate_syt
-from .tensor_rep import TensorOperator, realize
+from .tensor_rep import TensorOperator, basis_table, realize
 
 DEFAULT_TENSOR_DIMS = (2, 3)
 
@@ -384,10 +384,11 @@ def default_suites(n: int) -> list[str]:
 def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
                      suites: Sequence[str] | None = None) -> VerificationReport:
     """Run the requested suites (default: `default_suites(n)`) and
-    return a fully sorted report.  Size caps are checked before any
-    work: n against ALGEBRA_MAX_N, the N by `read_tensor_dims` and, with
-    the tensor suite, each N**n by `check_tensor_size`."""
-    check_algebra_size(n)
+    return a fully sorted report.  Every input is refused before any
+    suite runs: n by `sn_table`, then the suite names, the N by
+    `read_tensor_dims` and, with the tensor suite, each N**n by the
+    `basis_table` that suite needs anyway."""
+    n = sn_table(n).n
     if suites is None:
         chosen = default_suites(n)
     else:
@@ -399,7 +400,7 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
     dims = read_tensor_dims(tensor_dims or DEFAULT_TENSOR_DIMS)
     if "tensor" in chosen:
         for N in dims:
-            check_tensor_size(n, N)
+            basis_table(n, N)
     ctx = _Context(n, dims)
     report = VerificationReport(n=n, tensor_dims=dims)
     for name in sorted(set(chosen)):

@@ -1,3 +1,4 @@
+import inspect
 import os
 import pathlib
 import re
@@ -16,6 +17,9 @@ def test_every_size_cap_imports_from_the_package():
         config.ALGEBRA_MAX_N, config.TABLEAU_MAX_N, config.TENSOR_MAX_DIM)
     for name in ("ALGEBRA_MAX_N", "TABLEAU_MAX_N", "TENSOR_MAX_DIM"):
         assert name in youngops.__all__
+    # Only the caps: each is applied by the structure it guards.
+    assert not [name for name, value in vars(config).items()
+                if inspect.isfunction(value)]
 
 
 def test_readme_python_examples_run(tmp_path):

@@ -26,6 +26,8 @@ def test_zero_one_monomial():
     N = Polynomial.monomial(1)
     assert N(5) == 5
     assert Polynomial.monomial(3, 2)(2) == 16
+    with pytest.raises(ValueError, match="^negative degree -1$"):
+        Polynomial.monomial(-1)
 
 
 def test_known_product():
@@ -111,6 +113,13 @@ def test_constant_hashes_like_its_fraction():
     assert hash(Polynomial([Fraction(1, 2)])) == hash(Fraction(1, 2))
     assert hash(Polynomial.zero()) == hash(0)
     assert Polynomial([1]) != True  # a bool is no scalar, so never equal
+
+
+def test_repr_and_nonconstant_hash():
+    p = Polynomial([Fraction(-1, 3), 0, 2])
+    assert eval(repr(p), {"Polynomial": Polynomial, "Fraction": Fraction}) == p
+    assert hash(p) == hash(Polynomial([Fraction(-2, 6), 0, Fraction(4, 2)]))
+    assert len({p, Polynomial.monomial(1), Polynomial.monomial(1)}) == 2
 
 
 def test_numpy_integers_are_exact_scalars():

@@ -220,6 +220,14 @@ def test_equal_elements_hash_equal():
     assert big == (big * 3) / 3 and hash(big) == hash((big * 3) / 3)
 
 
+def test_repr_rebuilds_and_str_lists_terms():
+    a = AlgebraElement(2, {(2, 1): F(-1, 3), (1, 2): 1})
+    assert eval(repr(a), {"AlgebraElement": AlgebraElement,
+                          "Fraction": F}) == a
+    assert str(a) == "(1)*(1, 2) + (-1/3)*(2, 1)"
+    assert str(AlgebraElement.zero(2)) == "0"
+
+
 def test_numpy_integer_scalars_are_exact():
     a = AlgebraElement(3, {(2, 1, 3): F(1, 3), (1, 2, 3): 5})
     assert a.scale(np.int64(3)) == a.scale(3) == np.int64(3) * a
@@ -301,6 +309,8 @@ def test_empty_subset_rejected():
         symmetrizer([], 3)
     with pytest.raises(ValueError):
         antisymmetrizer([0, 1], 3)
+    with pytest.raises(ValueError, match="^slot 1 appears twice$"):
+        antisymmetrizer([1, 1, 2], 3)
 
 
 def test_symmetrizers_idempotent_and_annihilating():

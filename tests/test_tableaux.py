@@ -13,12 +13,15 @@ from youngops import (
     TensorOperator,
     YoungDiagram,
     YoungTableau,
+    all_permutations,
+    antisymmetrizer,
     enumerate_syt,
     partitions,
     run_verification,
+    symmetrizer,
 )
-from youngops.config import (check_algebra_size, check_tableau_size,
-                             check_tensor_size)
+from youngops.sn_algebra import sn_table
+from youngops.tensor_rep import basis_table
 from oracles import all_fillings, brute_force_syt, partition_strategy
 
 # Number of standard tableaux with n boxes, n = 1..7.
@@ -174,10 +177,14 @@ _INTEGER_SLOTS = {
     "matrix wire n": lambda x: TensorOperator.from_dict(_matrix(n=x)),
     "matrix wire N": lambda x: TensorOperator.from_dict(_matrix(N=x)),
     "matrix wire index": lambda x: TensorOperator.from_dict(_matrix(index=x)),
-    "check_algebra_size": check_algebra_size,
-    "check_tableau_size": check_tableau_size,
-    "check_tensor_size n": lambda x: check_tensor_size(x, 2),
-    "check_tensor_size N": lambda x: check_tensor_size(2, x),
+    "sn_table n": sn_table,
+    "basis_table n": lambda x: basis_table(x, 2),
+    "basis_table N": lambda x: basis_table(2, x),
+    "symmetrizer slot": lambda x: symmetrizer([x, 2], 3),
+    "antisymmetrizer slot": lambda x: antisymmetrizer([x, 2], 3),
+    "partitions n": partitions,
+    "all_permutations n": all_permutations,
+    "monomial degree": Polynomial.monomial,
     "run_verification n": run_verification,
     "run_verification N": lambda x: run_verification(2, tensor_dims=[x]),
 }
@@ -255,12 +262,23 @@ def test_string_round_trip():
         assert YoungTableau.from_string(text).to_string() == text
     with pytest.raises(ValueError):
         YoungTableau.from_string("12//3")
-    with pytest.raises(ValueError):
-        YoungTableau.from_string("1a/2")
+    # ASCII digits only: "٢" and "²" are Unicode digits, not entries.
+    for text in ("1a/2", "1\u0662/3", "1\u00b2/3"):
+        with pytest.raises(ValueError, match="^bad tableau string "):
+            YoungTableau.from_string(text)
     ten = YoungTableau([list(range(1, 11))])
     with pytest.raises(ValueError):
         ten.to_string()
     assert str(ten) == "1.2.3.4.5.6.7.8.9.10"
+
+
+def test_reprs_rebuild_the_value():
+    t = YoungTableau.from_string("135/24")
+    for x in (t, t.shape):
+        assert eval(repr(x), {"YoungTableau": YoungTableau,
+                              "YoungDiagram": YoungDiagram}) == x
+    assert repr(t) == "YoungTableau([[1, 3, 5], [2, 4]])"
+    assert repr(t.shape) == "YoungDiagram([3, 2])"
 
 
 def test_dict_round_trip():

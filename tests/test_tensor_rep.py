@@ -16,15 +16,19 @@ from youngops import (
     compose,
     decode,
     encode,
+    embed_element,
     enumerate_syt,
     hermitian_young,
     orthogonality_report,
     permutation_matrix,
     realize,
+    run_verification,
+    symmetrizer,
     young_operator,
 )
 from youngops import config, tensor_rep
-from youngops.config import check_tensor_size
+from youngops.sn_algebra import sn_table
+from youngops.tensor_rep import basis_table
 from oracles import (
     element_strategy,
     fraction_matrix,
@@ -166,13 +170,41 @@ def test_tensor_size_rule_edges():
     assert TENSOR_MAX_DIM == 4096
     assert not hasattr(youngops, "DEFAULT_SIZE_CAP")
     assert not hasattr(config, "DEFAULT_SIZE_CAP")
-    assert check_tensor_size(1, 4096) == check_tensor_size(12, 2) == 4096
+    assert basis_table(1, 4096).dim == basis_table(12, 2).dim == 4096
     with pytest.raises(SizeLimitError):
-        check_tensor_size(1, 4097)
+        basis_table(1, 4097)
     for n, N in ((1, 0), (-1, 2)):
         with pytest.raises(ValueError) as info:
-            check_tensor_size(n, N)
+            basis_table(n, N)
         assert not isinstance(info.value, SizeLimitError)
+
+
+def test_warm_tables_still_apply_the_integer_rule():
+    # A built table must not let an equal non-int key through: True == 1
+    # and 2.0 == 2 would share its cache entry if keys were untyped.
+    basis_table(1, 2), basis_table(2, 2)
+    a = AlgebraElement.one(2)
+    for call in (lambda: TensorOperator.zero(True, 2),
+                 lambda: TensorOperator.identity(2, 2.0),
+                 lambda: realize(a, 2.0)):
+        with pytest.raises(TypeError, match="^expected an integer, got "):
+            call()
+
+
+def test_numpy_keys_give_the_int_table_and_int_values():
+    two, three = np.int64(2), np.int64(3)
+    assert basis_table(2, two) is basis_table(2, 2)
+    assert sn_table(three) is sn_table(3)
+    for table in (sn_table, basis_table):  # caches, not plain functions
+        assert table.cache_info().currsize
+    x = AlgebraElement.one(2)
+    op = realize(x, two)
+    assert type(op.n) is int and type(op.N) is int
+    for value in (embed_element(x, three), symmetrizer([1, 2], three),
+                  run_verification(two, suites=["traces"])):
+        assert type(value.n) is int
+    wire = TensorOperator.from_dict({"n": two, "N": two, "entries": []})
+    assert type(wire.n) is int and type(wire.N) is int
 
 
 class _NoArrays:
@@ -276,11 +308,19 @@ def test_inexact_scalars_and_mixed_operands_raise_type_error():
     a = AlgebraElement.one(1)
     for make in (lambda: i.scale(0.1), lambda: i.scale("1/2"),
                  lambda: i / 0.5, lambda: i * 0.5, lambda: 0.5 * i,
-                 lambda: a + i, lambda: i + a, lambda: i - a):
+                 lambda: a + i, lambda: i + a, lambda: i - a,
+                 lambda: i @ a, lambda: i @ 2):
         with pytest.raises(TypeError):
             make()
     with pytest.raises(ZeroDivisionError):
         i / 0
+    # Values of different types are unequal, not an error.
+    assert a != i and i != a and a != 1 and i != 1
+
+
+def test_repr_summarizes_the_matrix():
+    assert repr(TensorOperator.identity(2, 2) / 3) == (
+        "TensorOperator(n=2, N=2, den=3, nnz=4)")
 
 
 @pytest.mark.parametrize("n, N", [(1, 1), (2, 2), (2, 3)])
