@@ -152,9 +152,9 @@ class _Exact:
 
     A subclass supplies `_space()`, the tuple that fixes its index
     space, the classmethod `_new(*space, num, den)`, the one
-    constructor: it resets the subclass's caches, calls `_store`, and
-    owns `num` afterwards; and `_difference_at(other, i, diff)`, which
-    words a witness that self - other = diff != 0 at flat index i.
+    constructor: it calls `_store` and owns `num` afterwards; and
+    `_difference_at(other, i, diff)`, which words a witness that
+    self - other = diff != 0 at flat index i.
     """
 
     __slots__ = ("num", "den")

@@ -86,12 +86,12 @@ class _YoungTemplate(NamedTuple):
 class _SnTable:
     """S_n indexed by lexicographic rank, and the maps the algebra needs.
 
-    `images[i]` is permutation i in one-line form, 0-based.  A
-    permutation's code is its one-line form read as a base-n number;
-    `_rank_of_code` (n**n entries) turns codes back into ranks, so each
-    map below is built a row at a time with no n! x n! x n intermediate.
-    Every array the table keeps is read-only once built, since all later
-    operators read it.  Degrees outside 1..ALGEBRA_MAX_N are refused.
+    `images[i]` is permutation i in one-line form, 0-based: the one copy
+    of S_n.  A code is a one-line form read as a base-n number;
+    `_rank_of_code` (n**n entries) turns codes back into ranks, so no
+    map below needs an n! x n! x n intermediate.  Every array the table
+    keeps is read-only once built, since all later operators read it.
+    Degrees outside 1..ALGEBRA_MAX_N are refused.
     """
 
     def __init__(self, n: int):
@@ -100,16 +100,16 @@ class _SnTable:
                 f"A(S_{n}) is outside the supported degrees 1..{ALGEBRA_MAX_N}: "
                 f"elements are stored over all n! permutations")
         self.n = n
-        self.perms: list[Perm] = list(all_permutations(n))
-        self.size = len(self.perms)
-        self.images = _frozen(
-            np.array(self.perms, dtype=np.intp).reshape(self.size, n) - 1)
+        self.images = _frozen(np.array(list(all_permutations(n)),
+                                       dtype=np.intp).reshape(-1, n) - 1)
+        self.size = len(self.images)
         self._weights = _frozen(n ** np.arange(n - 1, -1, -1))
         rank_of_code = np.zeros(n ** n, dtype=np.int16)
         rank_of_code[self.images @ self._weights] = np.arange(self.size)
         self._rank_of_code = _frozen(rank_of_code)
         self.inverse = _frozen(self.ranks(np.argsort(self.images, axis=1)))
-        self.cycles = _frozen(np.array([cycle_count(p) for p in self.perms]))
+        self.cycles = _frozen(np.array(
+            [cycle_count(p) for p in (self.images + 1).tolist()]))
         self.sign = _frozen(np.where((n - self.cycles) % 2, -1, 1))
         self._templates: dict[tuple[int, ...], _YoungTemplate] = {}
 
@@ -117,12 +117,12 @@ class _SnTable:
         """Ranks of the permutations given as rows of 0-based images."""
         return self._rank_of_code[images @ self._weights]
 
-    def checked_ranks(self, perms: Iterable[Sequence[int]]) -> np.ndarray:
+    def checked_ranks(self, given: Iterable[Sequence[int]]) -> np.ndarray:
         """Ranks of the given permutations of 1..n, after the permutation
         check (`permutations._checked`).  The check comes first, because
         `_rank_of_code` reads 0, the identity, for a code that is no
         permutation; then all are ranked in one `ranks` call."""
-        rows = [_checked(p, self.n) for p in perms]
+        rows = [_checked(p, self.n) for p in given]
         images = np.array(rows, dtype=np.intp).reshape(len(rows), self.n)
         return self.ranks(images - 1)
 
@@ -132,14 +132,18 @@ class _SnTable:
         numbered in order of first appearance."""
         ids: dict[tuple[int, ...], int] = {}
         return _frozen(np.array([ids.setdefault(cycle_type(p), len(ids))
-                                 for p in self.perms]))
+                                 for p in (self.images + 1).tolist()]))
 
     @cached_property
     def comp(self) -> np.ndarray:
-        """comp[i, j] = rank of sigma_i sigma_j (sigma_j acts first)."""
+        """comp[i, j] = rank of sigma_i sigma_j (sigma_j acts first).
+        Its code is sum_y sigma_i(y) n**(n-1-sigma_j^-1(y)), so n rows are
+        one (n x n) @ (n x n!) product, as many codes as one row took."""
+        wt = self._weights[np.argsort(self.images, axis=1)].T
         comp = np.empty((self.size, self.size), dtype=np.int16)
-        for i, row in enumerate(self.images):
-            comp[i] = self.ranks(row[self.images])
+        for lo in range(0, self.size, self.n):
+            codes = self.images[lo:lo + self.n] @ wt
+            comp[lo:lo + self.n] = self._rank_of_code[codes]
         return _frozen(comp)
 
     def young_subgroup(self, blocks: Iterable[Sequence[int]]) -> np.ndarray:
@@ -264,14 +268,14 @@ class AlgebraElement(_Exact):
     immutable values; `*` of two elements is the algebra product.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: Mapping[Perm, Scalar] = ()):
         table = sn_table(n)
         terms = dict(terms)
         coeffs = [(rank, _scalar(c)) for rank, c in
                   zip(table.checked_ranks(terms).tolist(), terms.values())]
-        self.n, self._terms = table.n, None
+        self.n = table.n
         self._store(*_common_denominator(table.size, coeffs))
 
     def _space(self) -> tuple[int]:
@@ -280,7 +284,7 @@ class AlgebraElement(_Exact):
     @classmethod
     def _new(cls, n: int, num: np.ndarray, den: int) -> "AlgebraElement":
         e = object.__new__(cls)
-        e.n, e._terms = n, None
+        e.n = n
         e._store(num, den)
         return e
 
@@ -309,13 +313,11 @@ class AlgebraElement(_Exact):
     @property
     def terms(self) -> Mapping[Perm, Fraction]:
         """Read-only view {permutation: coefficient} of the nonzero terms,
-        in one-line order."""
-        if self._terms is None:
-            perms = sn_table(self.n).perms
-            self._terms = MappingProxyType({
-                perms[i]: self._coeff_at(i)
-                for i in np.flatnonzero(self.num).tolist()})
-        return self._terms
+        in one-line order, built from `num` on each read."""
+        ranks = np.flatnonzero(self.num).tolist()
+        images = (sn_table(self.n).images[ranks] + 1).tolist()
+        return MappingProxyType({tuple(p): self._coeff_at(i)
+                                 for p, i in zip(images, ranks)})
 
     def coefficient(self, p: Perm) -> Fraction:
         """The coefficient of p, which must pass the permutation check
@@ -327,7 +329,7 @@ class AlgebraElement(_Exact):
 
     def _difference_at(self, other: "AlgebraElement", i: int,
                        diff: Fraction) -> str:
-        p = sn_table(self.n).perms[i]
+        p = tuple((sn_table(self.n).images[i] + 1).tolist())
         return f"first differing term {p}: difference {diff}"
 
     # -- the algebra product ----------------------------------------------

@@ -257,7 +257,7 @@ def enumerate_syt(n: int) -> list[YoungTableau]:
                              f"1..{TABLEAU_MAX_N}")
     # Grow by placing m at every outer corner of each standard tableau
     # with m-1 boxes; every standard tableau arises exactly once since
-    # removing its largest entry is the inverse step.
+    # removing the box holding m is the inverse step.
     current: list[tuple[tuple[int, ...], ...]] = [((1,),)]
     for m in range(2, n + 1):
         grown = []

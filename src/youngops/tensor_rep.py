@@ -88,7 +88,7 @@ class _BasisTable:
 
     `groups` holds the weight blocks grouped by size: pairs (s, idx),
     sizes ascending, with idx of shape (k, s) listing k blocks of s
-    indices each, in ascending order; `largest` is the largest s.
+    indices each, in ascending order, so groups[-1][0] is the greatest s.
     `entries` picks the diagonal-block entries from num.ravel() of an
     N^n x N^n matrix: group by group, block by block, row-major within
     a block.  Every array is read-only: all later operators read it.
@@ -117,7 +117,6 @@ class _BasisTable:
         self.groups = tuple(
             (s, _frozen(members[starts[sizes == s][:, None] + np.arange(s)]))
             for s in sorted(set(sizes.tolist())))
-        self.largest = self.groups[-1][0]
         self.entries = _frozen(np.concatenate(
             [(idx[:, :, None] * dim + idx[:, None, :]).ravel()
              for _, idx in self.groups]))
@@ -150,7 +149,7 @@ class TensorOperator(_Exact):
     `num`, so operators are immutable values.
     """
 
-    __slots__ = ("n", "N", "_blocks", "_max")
+    __slots__ = ("n", "N", "_blocks")
 
     def __init__(self, n: int, N: int, num: np.ndarray, den: int = 1):
         basis = basis_table(n, N)
@@ -199,12 +198,11 @@ class TensorOperator(_Exact):
         """Set num / den from the weight-block entries of `num`: gathered
         from the dense matrix, or `num` itself when 1-D.  Lowest terms
         are taken on those entries alone; they are kept as `_blocks`,
-        with `_max` = max|.|, and the read-only dense `num` is scattered
-        from them."""
+        and the read-only dense `num` is scattered from them."""
         basis = basis_table(self.n, self.N)
         super()._store(num if num.ndim == 1 else num.ravel()[basis.entries],
                        den)
-        self._blocks, self._max = self.num, _maxabs(self.num)
+        self._blocks = self.num
         dense = np.zeros(self.dim ** 2, dtype=self._blocks.dtype)
         dense[basis.entries] = self._blocks
         self.num = dense.reshape(self.dim, self.dim)
@@ -249,9 +247,8 @@ class TensorOperator(_Exact):
         if not isinstance(other, TensorOperator):
             return NotImplemented
         self._check_space(other)
-        basis = basis_table(self.n, self.N)
-        flat = _block_matmul(basis, self._blocks, other._blocks,
-                             self._max * other._max * basis.largest)
+        flat = _block_matmul(basis_table(self.n, self.N), self._blocks,
+                             other._blocks)
         return self._new(self.n, self.N, flat, self.den * other.den)
 
     def transpose(self) -> "TensorOperator":
@@ -308,12 +305,12 @@ class TensorOperator(_Exact):
                    *_common_denominator((dim, dim), list(entries.items())))
 
 
-def _block_matmul(basis: _BasisTable, x: np.ndarray, y: np.ndarray,
-                  bound: int) -> np.ndarray:
+def _block_matmul(basis: _BasisTable, x: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
     """Exact products of matching diagonal weight blocks, given and
     returned as flat vectors of block entries (see `_BasisTable`): one
     batched matmul per block size, in the cheapest dtype that is exact
-    below `bound` = max|a| * max|b| * (largest block size s).
+    below the bound max|a| * max|b| * (greatest block size s).
 
     Let a and b vanish off the weight blocks.  Entry (i, j) of
     ab is sum_k a[i, k] b[k, j], and a term is nonzero only when k lies
@@ -322,13 +319,13 @@ def _block_matmul(basis: _BasisTable, x: np.ndarray, y: np.ndarray,
     product of the two diagonal blocks: at most s products, each an
     integer of magnitude at most max|a| * max|b|.  Any partial sum of
     them, in any order or blocking and with or without fused
-    multiply-adds, is then an integer of magnitude at most `bound`.
+    multiply-adds, is then an integer of magnitude at most the bound.
 
     While bound < 2**53 every such integer is exact in float64, so BLAS
     computes the blocks exactly; while bound < 2**63 int64 does; past
     that they are computed on Python integers.
     """
-    dtype = _exact_dtype(bound)
+    dtype = _exact_dtype(_maxabs(x) * _maxabs(y) * basis.groups[-1][0])
     x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
     out = np.empty(x.shape, dtype=dtype)
     for a, b, z in zip(basis.stacks(x), basis.stacks(y), basis.stacks(out)):

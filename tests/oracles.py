@@ -108,21 +108,27 @@ def naive_partial_trace(a):
 
 
 @cache
-def _regular_gathers(n):
-    """Index maps of the regular representation of S_n, built from the
-    one-line compositions alone: column j of L(a) = a.num[left[:, j]]
-    holds the numerators of a sigma_j, and column j of
-    R(b) = b.num[right[:, j]] those of sigma_j b.  Permutations are
-    numbered in lexicographic order of one-line form, which is checked
-    against the order of `num`."""
+def naive_comp(n):
+    """comp[i, j] = rank of sigma_i sigma_j, sigma_j acting first, from
+    the one-line compositions alone.  Permutations are numbered in
+    lexicographic order of one-line form, which is checked against the
+    order of `num`."""
     perms = list(it_permutations(range(1, n + 1)))
     rank = {p: i for i, p in enumerate(perms)}
     for i, p in enumerate(perms):
         assert np.flatnonzero(AlgebraElement.from_perm(p).num).tolist() == [i]
-    # comp[i, j] = rank of sigma_i sigma_j, sigma_j acting first
-    comp = np.array([[rank[tuple(p[x - 1] for x in q)] for q in perms]
+    return np.array([[rank[tuple(p[x - 1] for x in q)] for q in perms]
                      for p in perms])
-    index = np.arange(len(perms))
+
+
+@cache
+def _regular_gathers(n):
+    """Index maps of the regular representation of S_n, built from
+    `naive_comp`: column j of L(a) = a.num[left[:, j]] holds the
+    numerators of a sigma_j, and column j of R(b) = b.num[right[:, j]]
+    those of sigma_j b."""
+    comp = naive_comp(n)
+    index = np.arange(len(comp))
     left, right = np.empty_like(comp), np.empty_like(comp)
     left[comp, index] = index[:, None]     # a_i sigma_i sigma_j
     right[comp.T, index] = index[:, None]  # sigma_j b_i sigma_i

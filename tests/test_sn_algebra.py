@@ -28,6 +28,7 @@ from youngops import (
 from oracles import (
     all_fillings,
     element_strategy,
+    naive_comp,
     naive_inequivalent,
     naive_multiply,
     naive_partial_trace,
@@ -246,6 +247,17 @@ def test_elements_are_read_only():
               AlgebraElement.one(3) * 2, -AlgebraElement.one(3)):
         with pytest.raises(ValueError):
             a.num[0] = 1
+        # `terms` is built from `num` on each read: equal, separate and
+        # read-only views
+        first, second = a.terms, a.terms
+        assert first == second and first is not second
+        with pytest.raises(TypeError):
+            first[(1,) * a.n] = 1
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_composition_table_matches_one_line_composition(n):
+    assert np.array_equal(sn_algebra.sn_table(n).comp, naive_comp(n))
 
 
 @settings(max_examples=40)
@@ -506,12 +518,13 @@ def test_leading_young_subgroup_is_s_k_in_rank_order():
     # k+1, ..., n; the extension here is built from S_k's images alone
     for n in range(1, 7):
         table = sn_algebra.sn_table(n)
+        perms = list(all_permutations(n))
         for k in range(1, n + 1):
             fixed = tuple(range(k + 1, n + 1))
             extended = [tuple(int(x) + 1 for x in img) + fixed
                         for img in sn_algebra.sn_table(k).images]
             ranks = table.young_subgroup([range(1, k + 1)])
-            assert [table.perms[r] for r in ranks] == extended
+            assert [perms[r] for r in ranks] == extended
             assert np.array_equal(table.embedding(k), ranks)
 
 
@@ -531,8 +544,9 @@ def test_young_subgroup_matches_brute_force():
     cases += [t for n in range(5, 7) for t in enumerate_syt(n)]
     for t in cases:
         table = sn_algebra.sn_table(t.n)
+        every = list(all_permutations(t.n))
         for blocks in (t.rows, t.columns):
-            perms = [table.perms[r] for r in table.young_subgroup(blocks)]
+            perms = [every[r] for r in table.young_subgroup(blocks)]
             assert len(set(perms)) == len(perms), (t, blocks)
             assert set(perms) == naive_young_subgroup(blocks, t.n), (t, blocks)
 

@@ -381,15 +381,14 @@ def test_permutation_matrices_vanish_off_the_weight_blocks(n, N):
 
 
 def _assert_blocks_kept(m):
-    """m vanishes off the weight blocks, and its kept block vector and
-    max|.| are those of its dense numerators."""
+    """m vanishes off the weight blocks, and its kept block vector is
+    that of its dense numerators."""
     basis = tensor_rep.basis_table(m.n, m.N)
     rows, cols = np.nonzero(m.num)
     assert (basis.weight[rows] == basis.weight[cols]).all()
     gathered = m.num.ravel()[basis.entries]
     assert m._blocks.dtype == gathered.dtype
     assert (m._blocks == gathered).all()
-    assert m._max == max((abs(int(v)) for v in gathered), default=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -465,7 +464,7 @@ def test_matmul_bound_edges(monkeypatch, limit, below, above):
     A = 2 ** (limit.bit_length() // 2 - 1) - 1
     B = (limit - 1) // (2 * A)
     a = _weight_diagonal(2, 2, A)
-    assert tensor_rep.basis_table(2, 2).largest == 2
+    assert tensor_rep.basis_table(2, 2).groups[-1][0] == 2
     for b_max, path in ((B, below), (B + 1, above)):
         assert (2 * A * b_max < limit) == (path is below)
         b = _weight_diagonal(2, 2, b_max)
@@ -495,7 +494,7 @@ def test_block_matmul_bound_edges(monkeypatch, limit, below, above):
     A = 2 ** (limit.bit_length() // 2 - 1) - 1
     B = (limit - 1) // (3 * A)
     a = _weight_diagonal(3, 2, A)
-    assert tensor_rep.basis_table(3, 2).largest == 3
+    assert tensor_rep.basis_table(3, 2).groups[-1][0] == 3
     for b_max, path in ((B, below), (B + 1, above)):
         assert (3 * A * b_max < limit) == (path is below)
         assert 8 * A * b_max >= limit  # the dense bound would not decide it

@@ -48,13 +48,13 @@ MUTANTS = [
     # the trace polynomial: max|num| * |supp num|
     ("sn_algebra.py", "_maxabs(self.num) * int(np.count_nonzero(self.num))",
      "_maxabs(self.num)"),
-    # the matrix product: max|a| * max|b| * largest block size
-    ("tensor_rep.py", "self._max * other._max * basis.largest",
-     "self._max * other._max"),
-    ("tensor_rep.py", "self._max * other._max * basis.largest",
-     "self._max * basis.largest"),
-    ("tensor_rep.py", "self.largest = self.groups[-1][0]",
-     "self.largest = self.groups[0][0]"),
+    # the matrix product: max|a| * max|b| * greatest block size
+    ("tensor_rep.py", "_maxabs(x) * _maxabs(y) * basis.groups[-1][0]",
+     "_maxabs(y) * basis.groups[-1][0]"),
+    ("tensor_rep.py", "_maxabs(x) * _maxabs(y) * basis.groups[-1][0]",
+     "_maxabs(x) * basis.groups[-1][0]"),
+    ("tensor_rep.py", "_maxabs(x) * _maxabs(y) * basis.groups[-1][0]",
+     "_maxabs(x) * _maxabs(y) * basis.groups[0][0]"),
     # realize: sum |a_sigma|
     ("tensor_rep.py", "bound = sum(map(abs, a.num.tolist()))",
      "bound = max(map(abs, a.num.tolist()))"),
