@@ -100,14 +100,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_dims(args: argparse.Namespace) -> int:
     labelled = [(str(t), t.shape) for t in enumerate_syt(args.n)]
-    shapes = set(s for _, s in labelled)
-    hooks = {s: s.hook_product() for s in shapes}
-    polys = {s: s.dimension_polynomial() for s in shapes}
+    hooks = {s: s.hook_product() for s in {s for _, s in labelled}}
     tables = []
     for N in read_tensor_dims(args.N):
-        f = {s: int(poly(N)) for s, poly in polys.items()}
-        rows = [{"tableau": label, "f": f[s], "hook": hooks[s],
-                 "dim": f[s] // hooks[s]} for label, s in labelled]
+        dims = {s: s.dimension(N) for s in hooks}
+        rows = [{"tableau": label, "f": dims[s] * hooks[s], "hook": hooks[s],
+                 "dim": dims[s]} for label, s in labelled]
         total = sum(r["dim"] for r in rows)
         tables.append({"N": N, "rows": rows, "dim_sum": total,
                        "n_power": N ** args.n, "ok": total == N ** args.n})

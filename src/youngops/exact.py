@@ -17,11 +17,11 @@ hashing and truth on the canonical form, and one witness of
 inequality, `first_difference`.  Products, traces and views stay with
 the subclass.
 
-Everything read from outside follows two rules kept here: `_integer`
-for integers (degrees, dimensions, indices, tableau entries and
-permutation entries) and `_scalar` for exact scalars.  Neither accepts
-a bool or truncates a float.  `_integer_table` keys the per-degree
-tables on the integer rule.
+Everything read from outside follows rules kept here: `_integer` for
+integers, `_in_range` for an index, digit, slot or cell in lo..hi, and
+`_scalar` for exact scalars.  None accepts a bool, truncates a float or
+wraps an index.  `_integer_table` keys the per-degree tables on the
+integer rule.
 """
 from __future__ import annotations
 
@@ -36,6 +36,12 @@ import numpy as np
 # Integers of magnitude below these are exact in float64 and int64.
 _F64_EXACT = 2 ** 53
 _I64_EXACT = 2 ** 63
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only in place."""
+    a.flags.writeable = False
+    return a
 
 
 def _maxabs(x: np.ndarray) -> int:
@@ -114,6 +120,14 @@ def _integer(x: object) -> int:
     return int(x)
 
 
+def _in_range(x: object, lo: int, hi: int, what: str) -> int:
+    """x by the integer rule and in lo..hi, else ValueError "<what> <x>
+    outside <lo>..<hi>": the one range rule, so no index wraps."""
+    if not lo <= (x := _integer(x)) <= hi:
+        raise ValueError(f"{what} {x} outside {lo}..{hi}")
+    return x
+
+
 def _integer_table(build):
     """`build` cached on its integer keys for the life of the process.
     Int keys build the table, other integers get the table of their
@@ -161,8 +175,8 @@ class _Exact:
 
     def _store(self, num: np.ndarray, den: int) -> None:
         """Set num / den in lowest terms, with `num` read-only."""
-        self.num, self.den = _lowest_terms(num, den)
-        self.num.flags.writeable = False
+        num, self.den = _lowest_terms(num, den)
+        self.num = _frozen(num)
 
     def _check_space(self, other: "_Exact") -> None:
         if self._space() != other._space():

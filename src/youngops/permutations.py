@@ -5,14 +5,15 @@ A permutation is a tuple p of length n with p[k-1] = p(k); entries are
 b acts first. This matches how permutation operators multiply when each
 permutes the factors of a tensor product.
 Every permutation read goes through the one permutation check,
-`_checked`; degrees and slots follow the integer rule (`exact._integer`).
+`_checked`; degrees follow the integer rule (`exact._integer`) and
+slots the range rule (`exact._in_range`).
 """
 from __future__ import annotations
 
 from itertools import permutations as _itertools_permutations
 from typing import Iterator, Sequence
 
-from .exact import _integer
+from .exact import _in_range, _integer
 
 Perm = tuple[int, ...]
 
@@ -48,9 +49,8 @@ def inverse(p: Perm) -> Perm:
 
 def transposition(n: int, i: int, j: int) -> Perm:
     """The permutation of 1..n exchanging i and j, both in 1..n."""
-    n, i, j = _integer(n), _integer(i), _integer(j)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"slots {i}, {j} outside 1..{n}")
+    n = _integer(n)
+    i, j = _in_range(i, 1, n, "slot"), _in_range(j, 1, n, "slot")
     p = list(range(1, n + 1))
     p[i - 1], p[j - 1] = j, i
     return tuple(p)

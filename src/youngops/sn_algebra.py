@@ -42,8 +42,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .config import ALGEBRA_MAX_N, SizeLimitError
-from .exact import (_Exact, _common_denominator, _exact_dtype, _integer,
-                    _integer_table, _lincomb, _maxabs, _scalar, _wire_scalar)
+from .exact import (_Exact, _common_denominator, _exact_dtype, _frozen,
+                    _in_range, _integer_table, _lincomb, _maxabs, _scalar,
+                    _wire_scalar)
 from .permutations import (Perm, _checked, all_permutations, cycle_count,
                            cycle_type)
 from .polynomial import Polynomial
@@ -67,11 +68,6 @@ _CHUNK = 1 << 14
 
 
 # -- the per-degree table ------------------------------------------------------
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class _YoungTemplate(NamedTuple):
@@ -426,15 +422,13 @@ def embed_element(a: AlgebraElement, n: int) -> AlgebraElement:
 
 
 def _subset_sum(slots: Iterable[int], n: int, signed: bool) -> AlgebraElement:
-    vals = sorted(map(_integer, slots))
+    table = sn_table(n)
+    vals = sorted(_in_range(s, 1, table.n, "slot") for s in slots)
     if not vals:
         raise ValueError("slot subset must be nonempty")
     for low, high in zip(vals, vals[1:]):
         if low == high:
             raise ValueError(f"slot {low} appears twice")
-    table = sn_table(n)
-    if vals[0] < 1 or vals[-1] > table.n:
-        raise ValueError(f"slots {vals} outside 1..{n}")
     ranks = table.young_subgroup([vals])
     num = np.zeros(table.size, dtype=np.int64)
     num[ranks] = table.sign[ranks] if signed else 1

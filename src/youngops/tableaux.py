@@ -12,11 +12,12 @@ the shape tie-break puts wider shapes first: 123, 12/3, 1/2/3, 13/2.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator, Mapping, Sequence
 
 from .config import TABLEAU_MAX_N, SizeLimitError
-from .exact import _integer
+from .exact import _in_range, _integer
 from .permutations import _checked
 from .polynomial import Polynomial
 
@@ -36,6 +37,14 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
                 yield (first,) + rest
 
     return rec(n, n)
+
+
+def _tensor_dimension(N: int) -> int:
+    """N, one tensor slot's dimension, by the integer rule and at least
+    1: the rule of `YoungDiagram.dimension` and `read_tensor_dims`."""
+    if (N := _integer(N)) < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    return N
 
 
 class YoungDiagram:
@@ -84,9 +93,10 @@ class YoungDiagram:
                 yield (j, k)
 
     def hook_length(self, j: int, k: int) -> int:
-        """1 + boxes to the right in row j + boxes below in column k."""
-        if not (1 <= j <= len(self.rows) and 1 <= k <= self.rows[j - 1]):
-            raise ValueError(f"cell ({j},{k}) outside shape {self.rows}")
+        """1 + boxes to the right in row j + boxes below in column k;
+        j and k by the range rule, in the shape."""
+        j = _in_range(j, 1, len(self.rows), "row")
+        k = _in_range(k, 1, self.rows[j - 1], "column")
         below = sum(1 for lam in self.rows[j:] if lam >= k)
         return (self.rows[j - 1] - k) + below + 1
 
@@ -111,10 +121,8 @@ class YoungDiagram:
                     start=Polynomial.one())
 
     def dimension(self, N: int) -> int:
-        """f(N)/hook_product at integer N (0 when row_count > N)."""
-        dim = self.dimension_polynomial()(N) / self.hook_product()
-        assert dim.denominator == 1, f"non-integer dimension {dim} at N={N}"
-        return int(dim)
+        """f(N)/hook_product at N >= 1 (0 when row_count > N)."""
+        return int(_dimension(self)(_tensor_dimension(N)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, YoungDiagram) and self.rows == other.rows
@@ -124,6 +132,13 @@ class YoungDiagram:
 
     def __repr__(self) -> str:
         return f"YoungDiagram({list(self.rows)!r})"
+
+
+@lru_cache(maxsize=None)
+def _dimension(shape: YoungDiagram) -> Polynomial:
+    """f(N)/hook_product of a shape, in N: the trace and rank of D(Y_T)
+    and D(P_T) for its T.  Built once per shape (hashed by its rows)."""
+    return shape.dimension_polynomial() / shape.hook_product()
 
 
 class YoungTableau:
@@ -154,24 +169,12 @@ class YoungTableau:
         return tuple(tuple(row[k] for row in self.rows if len(row) > k)
                      for k in range(len(self.rows[0])))
 
-    @property
-    def entries(self) -> dict[tuple[int, int], int]:
-        """Map (row j, column k) -> entry, 1-based."""
-        return {
-            (j, k): x
-            for j, row in enumerate(self.rows, start=1)
-            for k, x in enumerate(row, start=1)
-        }
-
-    def entry(self, j: int, k: int) -> int:
-        return self.rows[j - 1][k - 1]
-
     def cell_of(self, value: int) -> tuple[int, int]:
-        """The (row j, column k) holding the given entry."""
-        for j, row in enumerate(self.rows, start=1):
-            if value in row:
-                return (j, row.index(value) + 1)
-        raise ValueError(f"{value} not in tableau {self}")
+        """The (row j, column k) holding value, in 1..n by the range rule."""
+        value = _in_range(value, 1, self.n, "entry")
+        return next((j, row.index(value) + 1)
+                    for j, row in enumerate(self.rows, start=1)
+                    if value in row)
 
     def row_word(self) -> tuple[int, ...]:
         """Rows concatenated top to bottom; the enumeration sort key."""

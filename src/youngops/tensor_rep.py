@@ -47,28 +47,26 @@ import numpy as np
 
 from .config import TENSOR_MAX_DIM, SizeLimitError
 from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
-                    _integer, _integer_dtype, _integer_table, _lincomb,
-                    _maxabs, _wire_scalar)
+                    _frozen, _in_range, _integer, _integer_dtype,
+                    _integer_table, _lincomb, _maxabs, _wire_scalar)
 from .permutations import Perm
-from .sn_algebra import AlgebraElement, _frozen, sn_table
+from .sn_algebra import AlgebraElement, sn_table
 
 
 def encode(digits: Sequence[int], N: int) -> int:
-    """Multi-index -> flat index, slot 1 most significant; every digit
-    and N by the integer rule."""
+    """Multi-index -> flat index, slot 1 most significant; N by the
+    integer rule and every digit by the range rule, in 0..N-1."""
     out, N = 0, _integer(N)
-    for d in map(_integer, digits):
-        if not 0 <= d < N:
-            raise ValueError(f"digit {d} outside 0..{N - 1}")
-        out = out * N + d
+    for d in digits:
+        out = out * N + _in_range(d, 0, N - 1, "digit")
     return out
 
 
 def decode(index: int, N: int, n: int) -> tuple[int, ...]:
-    """Flat index -> multi-index of n digits; all by the integer rule."""
-    index, N, n = _integer(index), _integer(N), _integer(n)
-    if not 0 <= index < N ** n:
-        raise ValueError(f"index {index} outside 0..{N ** n - 1}")
+    """Flat index -> multi-index of n digits; N and n by the integer
+    rule and the index by the range rule, in 0..N^n-1."""
+    N, n = _integer(N), _integer(n)
+    index = _in_range(index, 0, N ** n - 1, "index")
     digits = []
     for _ in range(n):
         index, d = divmod(index, N)
@@ -205,8 +203,7 @@ class TensorOperator(_Exact):
         self._blocks = self.num
         dense = np.zeros(self.dim ** 2, dtype=self._blocks.dtype)
         dense[basis.entries] = self._blocks
-        self.num = dense.reshape(self.dim, self.dim)
-        self.num.flags.writeable = False
+        self.num = _frozen(dense.reshape(self.dim, self.dim))
 
     # -- constructors -------------------------------------------------------
 
@@ -229,6 +226,9 @@ class TensorOperator(_Exact):
         return self.N ** self.n
 
     def entry(self, row: int, col: int) -> Fraction:
+        """Entry (row, col), both by the range rule, in 0..dim-1."""
+        row = _in_range(row, 0, self.dim - 1, "row")
+        col = _in_range(col, 0, self.dim - 1, "column")
         return Fraction(int(self.num[row, col]), self.den)
 
     def _difference_at(self, other: "TensorOperator", i: int,
@@ -294,10 +294,8 @@ class TensorOperator(_Exact):
         dim = basis.dim
         entries = {}
         for r, c, s in data["entries"]:
-            r, c = _integer(r), _integer(c)
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise ValueError(f"entry index ({r!r}, {c!r}) is not an "
-                                 f"integer in 0..{dim - 1}")
+            r = _in_range(r, 0, dim - 1, "row")
+            c = _in_range(c, 0, dim - 1, "column")
             if (r, c) in entries:
                 raise ValueError(f"entry ({r}, {c}) appears twice")
             entries[r, c] = _wire_scalar(s)

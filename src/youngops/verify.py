@@ -12,11 +12,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exact import _Exact, _integer
-from .polynomial import Polynomial
+from .exact import _Exact
 from .sn_algebra import (
     AlgebraElement,
     embed_element,
@@ -24,20 +23,17 @@ from .sn_algebra import (
     sn_table,
     young_operator,
 )
-from .tableaux import YoungDiagram, YoungTableau, enumerate_syt
+from .tableaux import (YoungTableau, _dimension, _tensor_dimension,
+                       enumerate_syt)
 from .tensor_rep import TensorOperator, basis_table, realize
 
 DEFAULT_TENSOR_DIMS = (2, 3)
 
 
 def read_tensor_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    """The N of `verify` and `dims`: each by the integer rule and at
-    least 1; a repeated N runs once, at its first place."""
-    dims = tuple(dict.fromkeys(_integer(N) for N in dims))
-    for N in dims:
-        if N < 1:
-            raise ValueError(f"N must be positive, got {N}")
-    return dims
+    """The N of `verify` and `dims`, each by `_tensor_dimension`; a
+    repeated N runs once, at its first place."""
+    return tuple(dict.fromkeys(map(_tensor_dimension, dims)))
 
 
 class UnknownSuiteError(ValueError):
@@ -150,14 +146,6 @@ _FAMILIES = ("Y", "P")
 def _build(kind: str, t: YoungTableau) -> AlgebraElement:
     """Y_T or P_T by family letter, looked up when called."""
     return young_operator(t) if kind == "Y" else hermitian_young(t)
-
-
-@lru_cache(maxsize=None)
-def _dimension(shape: YoungDiagram) -> Polynomial:
-    """f_T(N)/|T|, the trace and rank of D(Y_T) and D(P_T), in N.  It
-    depends on T's shape alone, so it is built once per shape (a diagram
-    hashes by its rows)."""
-    return shape.dimension_polynomial() / shape.hook_product()
 
 
 # -- individual suites --------------------------------------------------------

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, prod
 
@@ -15,10 +16,13 @@ from youngops import (
     YoungTableau,
     all_permutations,
     antisymmetrizer,
+    decode,
+    encode,
     enumerate_syt,
     partitions,
     run_verification,
     symmetrizer,
+    transposition,
 )
 from youngops.sn_algebra import sn_table
 from youngops.tensor_rep import basis_table
@@ -187,6 +191,15 @@ _INTEGER_SLOTS = {
     "monomial degree": Polynomial.monomial,
     "run_verification n": run_verification,
     "run_verification N": lambda x: run_verification(2, tensor_dims=[x]),
+    "operator entry row":
+        lambda x: TensorOperator.identity(2, 2).entry(x, 0),
+    "operator entry column":
+        lambda x: TensorOperator.identity(2, 2).entry(0, x),
+    "hook_length row": lambda x: YoungDiagram([3, 2]).hook_length(x, 1),
+    "hook_length column": lambda x: YoungDiagram([3, 2]).hook_length(1, x),
+    "cell_of": lambda x: YoungTableau.from_string("123/45").cell_of(x),
+    "dimension N": YoungDiagram([3, 2]).dimension,
+    "transposition slot": lambda x: transposition(3, x, 2),
 }
 # The scalar rule refuses the same values, strings included.
 _SCALAR_SLOTS = {
@@ -219,6 +232,55 @@ def test_non_integer_entries_are_refused(bad):
     assert read == []
 
 
+# Every reader of an index, digit, slot or cell from outside, with the
+# value in one slot and its range lo..hi: each follows the range rule.
+_RANGE_SLOTS = {
+    "encode digit": (lambda x: encode([x], 3), 0, 2),
+    "decode index": (lambda x: decode(x, 2, 2), 0, 3),
+    "matrix wire row": (lambda x: TensorOperator.from_dict(
+        {"n": 2, "N": 2, "entries": [[x, 0, "0"]]}), 0, 3),
+    "matrix wire column": (lambda x: TensorOperator.from_dict(
+        {"n": 2, "N": 2, "entries": [[0, x, "0"]]}), 0, 3),
+    "operator entry diagonal":
+        (lambda x: TensorOperator.identity(2, 2).entry(x, x), 0, 3),
+    "operator entry column":
+        (lambda x: TensorOperator.identity(2, 2).entry(0, x), 0, 3),
+    "transposition slot i": (lambda x: transposition(3, x, 1), 1, 3),
+    "transposition slot j": (lambda x: transposition(3, 1, x), 1, 3),
+    "symmetrizer slot": (lambda x: symmetrizer([x], 3), 1, 3),
+    "antisymmetrizer slot": (lambda x: antisymmetrizer([x], 3), 1, 3),
+    "hook_length row":
+        (lambda x: YoungDiagram([3, 2]).hook_length(x, 1), 1, 2),
+    "hook_length column":
+        (lambda x: YoungDiagram([3, 2]).hook_length(1, x), 1, 3),
+    "cell_of": (YoungTableau.from_string("123/45").cell_of, 1, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RANGE_SLOTS))
+def test_range_rule_refuses_one_past_each_end(name):
+    # unread, lo - 1 would wrap to the end: -1 to the last row of a
+    # 0-based reader, 0 to the last box of a 1-based one
+    call, lo, hi = _RANGE_SLOTS[name]
+    call(lo)
+    call(hi)
+    for bad in (lo - 1, hi + 1):
+        with pytest.raises(ValueError,
+                           match=rf"^\w+ {bad} outside {lo}\.\.{hi}$"):
+            call(bad)
+
+
+def test_dimension_reads_n_by_the_tensor_dimension_rule():
+    d = YoungDiagram([1])
+    assert d.dimension(1) == 1 and d.dimension(np.int64(3)) == 3
+    for bad in (0, -1):
+        with pytest.raises(ValueError,
+                           match=f"^N must be positive, got {bad}$"):
+            d.dimension(bad)
+    with pytest.raises(TypeError):
+        d.dimension(Fraction(1, 2))
+
+
 def test_standardness_predicate():
     assert YoungTableau([[1, 2, 3], [4, 5]]).is_standard()
     assert not YoungTableau([[2, 1, 3], [4, 5]]).is_standard()  # row falls
@@ -249,9 +311,7 @@ def test_columns_and_parent_match_the_diagram():
 
 def test_entries_and_lookup():
     t = YoungTableau.from_string("135/24")
-    assert t.entry(1, 2) == 3
     assert t.cell_of(4) == (2, 2)
-    assert t.entries[(2, 1)] == 2
     assert t.row_word() == (1, 3, 5, 2, 4)
     with pytest.raises(ValueError):
         t.cell_of(6)

@@ -768,7 +768,7 @@ def test_matrix_from_dict_refuses_a_float_coefficient():
 
 def test_matrix_from_dict_refuses_a_negative_index():
     # numpy would wrap -1 to the last row and column, entry (3, 3)
-    with pytest.raises(ValueError, match=r"\(-1, -1\) is not an integer"):
+    with pytest.raises(ValueError, match=r"^row -1 outside 0\.\.3$"):
         TensorOperator.from_dict({"n": 2, "N": 2, "entries": [[-1, -1, "1"]]})
 
 
@@ -776,7 +776,7 @@ def test_matrix_from_dict_refuses_a_negative_index():
 def test_matrix_from_dict_refuses_an_index_outside_the_basis(index):
     # numpy indexing would raise IndexError, or spread True and None over
     # whole rows; a non-integer fails the integer rule first
-    error, match = ((ValueError, r"not an integer in 0\.\.3")
+    error, match = ((ValueError, rf"^row {index} outside 0\.\.3$")
                     if type(index) is int else
                     (TypeError, "expected an integer"))
     with pytest.raises(error, match=match):
