@@ -7,7 +7,7 @@ dimension N, and an exact matrix realization on (C^N)^(x n) for
 independent cross-validation.  Everything is computed in exact rational
 arithmetic; every identity either holds on the nose or fails loudly.
 """
-from .config import ALGEBRA_MAX_N, TABLEAU_MAX_N, TENSOR_MAX_DIM, SizeLimitError
+from .exact import SizeLimitError
 from .polynomial import Polynomial
 from .permutations import (
     Perm,
@@ -21,8 +21,10 @@ from .permutations import (
     sign,
     transposition,
 )
-from .tableaux import YoungDiagram, YoungTableau, enumerate_syt, partitions
+from .tableaux import (TABLEAU_MAX_N, YoungDiagram, YoungTableau,
+                       enumerate_syt, partitions)
 from .sn_algebra import (
+    ALGEBRA_MAX_N,
     AlgebraElement,
     antisymmetrizer,
     embed_element,
@@ -33,6 +35,7 @@ from .sn_algebra import (
     young_operator,
 )
 from .tensor_rep import (
+    TENSOR_MAX_DIM,
     TensorOperator,
     decode,
     encode,

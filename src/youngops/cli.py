@@ -22,9 +22,8 @@ import json
 import sys
 from typing import IO, Sequence
 
-from .config import TABLEAU_MAX_N
 from .sn_algebra import hermitian_young, young_operator
-from .tableaux import YoungTableau, enumerate_syt
+from .tableaux import TABLEAU_MAX_N, YoungTableau, enumerate_syt
 from .verify import (
     DEFAULT_TENSOR_DIMS,
     OPT_IN_SUITES,

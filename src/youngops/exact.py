@@ -17,11 +17,12 @@ hashing and truth on the canonical form, and one witness of
 inequality, `first_difference`.  Products, traces and views stay with
 the subclass.
 
-Everything read from outside follows rules kept here: `_integer` for
-integers, `_in_range` for an index, digit, slot or cell in lo..hi, and
-`_scalar` for exact scalars.  None accepts a bool, truncates a float or
-wraps an index.  `_integer_table` keys the per-degree tables on the
-integer rule.
+Everything read from outside follows rules kept here: `_integer`, then
+`_nonnegative` (n >= 0), `_tensor_dimension` (N >= 1) or `_in_range`
+(an index, digit, slot or cell in lo..hi), and `_scalar`.  None accepts
+a bool, truncates a float or wraps an index.  `_integer_table` keys the
+per-degree tables on the integer rule.  Each size cap sits beside the
+structure that applies it, and raises `SizeLimitError`.
 """
 from __future__ import annotations
 
@@ -96,13 +97,12 @@ def _lowest_terms(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return num, den
 
 
-def _common_denominator(shape: int | tuple[int, ...],
-                        fractions: list[tuple[object, Fraction]]
+def _common_denominator(size: int, fractions: list[tuple[int, Fraction]]
                         ) -> tuple[np.ndarray, int]:
-    """(num, den) of the array holding f at each (index, f) of
-    `fractions` and 0 elsewhere, over the lcm of the denominators."""
+    """(num, den) of the vector of `size` holding f at each (index, f)
+    of `fractions` and 0 elsewhere, over the lcm of the denominators."""
     den = lcm(*(f.denominator for _, f in fractions))
-    num = np.zeros(shape, dtype=object)
+    num = np.zeros(size, dtype=object)
     for index, f in fractions:
         num[index] = f.numerator * (den // f.denominator)
     return num, den
@@ -118,6 +118,24 @@ def _integer(x: object) -> int:
     if isinstance(x, bool) or not isinstance(x, Integral):
         raise TypeError(f"expected an integer, got {x!r}")
     return int(x)
+
+
+class SizeLimitError(ValueError):
+    """Raised when a requested computation exceeds a size cap."""
+
+
+def _nonnegative(n: object) -> int:
+    """n, a degree, by the integer rule and at least 0."""
+    if (n := _integer(n)) < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    return n
+
+
+def _tensor_dimension(N: object) -> int:
+    """N, one tensor slot's dimension, by the integer rule and >= 1."""
+    if (N := _integer(N)) < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    return N
 
 
 def _in_range(x: object, lo: int, hi: int, what: str) -> int:

@@ -41,10 +41,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import ALGEBRA_MAX_N, SizeLimitError
-from .exact import (_Exact, _common_denominator, _exact_dtype, _frozen,
-                    _in_range, _integer_table, _lincomb, _maxabs, _scalar,
-                    _wire_scalar)
+from .exact import (SizeLimitError, _Exact, _common_denominator,
+                    _exact_dtype, _frozen, _in_range, _integer_table,
+                    _lincomb, _maxabs, _scalar, _wire_scalar)
 from .permutations import (Perm, _checked, all_permutations, cycle_count,
                            cycle_type)
 from .polynomial import Polynomial
@@ -77,6 +76,12 @@ class _YoungTemplate(NamedTuple):
     images: np.ndarray
     signs: np.ndarray
     den: int
+
+
+# Largest degree of a group-algebra element.  Elements are stored over
+# all n! permutations and multiplied through an n! x n! composition
+# table: 50 MB of int16 at n = 7, but 6.5 GB of int32 at n = 8.
+ALGEBRA_MAX_N = 7
 
 
 class _SnTable:

@@ -30,9 +30,9 @@ with an object fallback, and the partial trace is a sum of N slices
 (`exact._lincomb`), so results are always exact.
 
 Size and keys.  Every entry point reaches `basis_table(n, N)` first.
-It reads n and N by the integer rule, and its construction refuses
-n < 0, N < 1 and N^n beyond TENSOR_MAX_DIM (SizeLimitError) before
-anything is allocated; every operator takes its ints n and N from it.
+It reads n >= 0 and N >= 1 by the rules of `exact` and refuses N^n
+beyond TENSOR_MAX_DIM (SizeLimitError) before anything is allocated;
+every operator takes its ints n and N from it.
 
 Basis order: a multi-index (a_1, ..., a_n) with digits in 0..N-1 maps
 to the integer whose base-N digits it is, slot 1 most significant.
@@ -41,31 +41,31 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .config import TENSOR_MAX_DIM, SizeLimitError
-from .exact import (_I64_EXACT, _Exact, _common_denominator, _exact_dtype,
+from .exact import (_I64_EXACT, SizeLimitError, _Exact, _exact_dtype,
                     _frozen, _in_range, _integer, _integer_dtype,
-                    _integer_table, _lincomb, _maxabs, _wire_scalar)
+                    _integer_table, _lincomb, _maxabs, _nonnegative,
+                    _tensor_dimension)
 from .permutations import Perm
 from .sn_algebra import AlgebraElement, sn_table
 
 
 def encode(digits: Sequence[int], N: int) -> int:
     """Multi-index -> flat index, slot 1 most significant; N by the
-    integer rule and every digit by the range rule, in 0..N-1."""
-    out, N = 0, _integer(N)
+    tensor-dimension rule and every digit by the range rule, in 0..N-1."""
+    out, N = 0, _tensor_dimension(N)
     for d in digits:
         out = out * N + _in_range(d, 0, N - 1, "digit")
     return out
 
 
 def decode(index: int, N: int, n: int) -> tuple[int, ...]:
-    """Flat index -> multi-index of n digits; N and n by the integer
-    rule and the index by the range rule, in 0..N^n-1."""
-    N, n = _integer(N), _integer(n)
+    """Flat index -> multi-index of n digits; N by the tensor-dimension
+    rule, n >= 0 and the index by the range rule, in 0..N^n-1."""
+    N, n = _tensor_dimension(N), _nonnegative(n)
     index = _in_range(index, 0, N ** n - 1, "index")
     digits = []
     for _ in range(n):
@@ -74,12 +74,15 @@ def decode(index: int, N: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+# Largest N**n for tensor operators (243*16 headroom over N=3, n=5).
+TENSOR_MAX_DIM = 4096
+
+
 class _BasisTable:
     """The basis of (C^N)^(x n) by flat index, and its weight blocks.
 
-    Construction first refuses n < 0, N < 1 and N^n beyond
-    TENSOR_MAX_DIM; `dim` is N^n.  `digits[i]` is
-    decode(i) and `place` the base-N place value of each slot.
+    Construction first refuses n < 0, N < 1 and N^n beyond TENSOR_MAX_DIM;
+    `dim` is N^n, `digits[i]` decode(i) and `place` each slot's place value.
     `weight[i]` is the index of basis vector i with its digits sorted,
     which labels its digit multiset; the indices of one label form a
     weight block.
@@ -93,8 +96,7 @@ class _BasisTable:
     """
 
     def __init__(self, n: int, N: int):
-        if n < 0 or N < 1:
-            raise ValueError(f"need n >= 0 and N >= 1, got n={n}, N={N}")
+        n, N = _nonnegative(n), _tensor_dimension(N)
         dim = N ** n
         if dim > TENSOR_MAX_DIM:
             raise SizeLimitError(
@@ -276,31 +278,6 @@ class TensorOperator(_Exact):
         num = self.num.reshape(m, self.N, m, self.N)
         acc = _lincomb([(1, num[:, c, :, c]) for c in range(self.N)])
         return self._new(self.n - 1, self.N, acc, self.den)
-
-    # -- JSON wire format -----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """{"n":..., "N":..., "entries":[[row, col, "p/q"], ...]},
-        row-major with zero entries omitted."""
-        entries = []
-        rows, cols = np.nonzero(self.num)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            entries.append([r, c, str(Fraction(int(self.num[r, c]), self.den))])
-        return {"n": self.n, "N": self.N, "entries": entries}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TensorOperator":
-        basis = basis_table(data["n"], data["N"])
-        dim = basis.dim
-        entries = {}
-        for r, c, s in data["entries"]:
-            r = _in_range(r, 0, dim - 1, "row")
-            c = _in_range(c, 0, dim - 1, "column")
-            if (r, c) in entries:
-                raise ValueError(f"entry ({r}, {c}) appears twice")
-            entries[r, c] = _wire_scalar(s)
-        return cls(basis.n, basis.N,
-                   *_common_denominator((dim, dim), list(entries.items())))
 
 
 def _block_matmul(basis: _BasisTable, x: np.ndarray,

@@ -9,13 +9,14 @@ on the report objects but never serialized.
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exact import _Exact
+from .exact import _Exact, _tensor_dimension
 from .sn_algebra import (
     AlgebraElement,
     embed_element,
@@ -23,8 +24,7 @@ from .sn_algebra import (
     sn_table,
     young_operator,
 )
-from .tableaux import (YoungTableau, _dimension, _tensor_dimension,
-                       enumerate_syt)
+from .tableaux import YoungTableau, _dimension, enumerate_syt
 from .tensor_rep import TensorOperator, basis_table, realize
 
 DEFAULT_TENSOR_DIMS = (2, 3)
@@ -139,6 +139,16 @@ def _value_check(check_id: str, anchor: str,
                        "" if ok else f"got {got}, want {want}")
 
 
+def _pair_checks(prefix: str, anchor: str, pairs: list[tuple[str, _Exact]],
+                 product: Callable[[_Exact, _Exact], _Exact],
+                 zero: _Exact) -> list[CheckResult]:
+    """X_i X_j = delta_ij X_i over the ordered pairs of the distinctly
+    labelled (label, X) `pairs`, row-major, as `<prefix><label>*<label>`."""
+    return [_equality_check(f"{prefix}{s}*{t}", anchor, product(a, b),
+                            a if s == t else zero)
+            for s, a in pairs for t, b in pairs]
+
+
 # The two operator families, by the letter their check ids carry.
 _FAMILIES = ("Y", "P")
 
@@ -163,15 +173,9 @@ def _suite_idempotency(ctx: _Context) -> list[CheckResult]:
 
 
 def _transversality(ctx: _Context, kind: str, suite: str) -> list[CheckResult]:
-    ops = {t.to_string(): _build(kind, t) for t in ctx.tableaux}
-    anchor = f"{kind}_T {kind}_U = delta_TU {kind}_T"
-    zero = AlgebraElement.zero(ctx.n)
-    out = []
-    for t, a in ops.items():
-        for u, b in ops.items():
-            want = a if t == u else zero
-            out.append(_equality_check(f"{suite}:{t}*{u}", anchor, a * b, want))
-    return out
+    ops = [(t.to_string(), _build(kind, t)) for t in ctx.tableaux]
+    return _pair_checks(f"{suite}:", f"{kind}_T {kind}_U = delta_TU {kind}_T",
+                        ops, operator.mul, AlgebraElement.zero(ctx.n))
 
 
 def _suite_hermiticity(ctx: _Context) -> list[CheckResult]:
@@ -283,20 +287,15 @@ def orthogonality_report(ops: Sequence[TensorOperator],
         raise ValueError("labels length must match ops length")
     if len(set(names)) != len(names):
         raise ValueError("labels must be distinct")
-    checks = []
-    for name, op in zip(names, ops):
-        checks.append(_equality_check(f"{prefix}symmetric:{name}",
-                                      _ORTHOGONALITY, op, op.transpose()))
-    zero = TensorOperator.zero(first.n, first.N)
-    for i, (ni, mi) in enumerate(zip(names, ops)):
-        for j, (nj, mj) in enumerate(zip(names, ops)):
-            checks.append(_equality_check(f"{prefix}product:{ni}*{nj}",
-                                          _ORTHOGONALITY, mi @ mj,
-                                          mi if i == j else zero))
-    checks.append(_equality_check(
-        f"{prefix}sum-to-identity", _ORTHOGONALITY, sum(ops[1:], first),
-        TensorOperator.identity(first.n, first.N)))
-    return checks
+    pairs = list(zip(names, ops))
+    return ([_equality_check(f"{prefix}symmetric:{name}", _ORTHOGONALITY,
+                             op, op.transpose()) for name, op in pairs]
+            + _pair_checks(f"{prefix}product:", _ORTHOGONALITY, pairs,
+                           operator.matmul,
+                           TensorOperator.zero(first.n, first.N))
+            + [_equality_check(f"{prefix}sum-to-identity", _ORTHOGONALITY,
+                               sum(ops[1:], first),
+                               TensorOperator.identity(first.n, first.N))])
 
 
 def _suite_tensor(ctx: _Context) -> list[CheckResult]:

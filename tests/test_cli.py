@@ -126,6 +126,18 @@ def test_ci_workload_steps_match_the_benchmark():
         assert pin == f"{w.stdout_sha256}  -\n", name
 
 
+def test_ci_states_each_step_setting_once():
+    # Bash with pipefail and warnings as errors are set once for the job,
+    # so a new step cannot miss either; Install runs before the latter.
+    text = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    assert text.count("shell: bash") == 1
+    assert "    defaults:\n      run:\n        shell: bash\n" in text
+    assert text.count("PYTHONWARNINGS") == 1
+    warn = text.index('run: echo "PYTHONWARNINGS=error" >> "$GITHUB_ENV"')
+    assert (text.index("- name: Install") < warn
+            < text.index("- name: Tier-1 tests"))
+
+
 def test_dims_table(capsys):
     code, out, _ = run_cli(capsys, "dims", "--n", "3", "--N", "3")
     assert code == 0

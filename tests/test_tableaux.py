@@ -162,10 +162,6 @@ def _element(n=2, perm=(2, 1), coeff="1"):
     return {"n": n, "terms": [{"perm": list(perm), "coeff": coeff}]}
 
 
-def _matrix(n=2, N=2, index=0, coeff="1"):
-    return {"n": n, "N": N, "entries": [[index, index, coeff]]}
-
-
 # Every reader and constructor of an integer from outside, with the bad
 # value in one integer slot: each follows the integer rule.
 _INTEGER_SLOTS = {
@@ -178,9 +174,6 @@ _INTEGER_SLOTS = {
     "element wire n": lambda x: AlgebraElement.from_dict(_element(n=x)),
     "element wire perm entry":
         lambda x: AlgebraElement.from_dict(_element(perm=(2, x))),
-    "matrix wire n": lambda x: TensorOperator.from_dict(_matrix(n=x)),
-    "matrix wire N": lambda x: TensorOperator.from_dict(_matrix(N=x)),
-    "matrix wire index": lambda x: TensorOperator.from_dict(_matrix(index=x)),
     "sn_table n": sn_table,
     "basis_table n": lambda x: basis_table(x, 2),
     "basis_table N": lambda x: basis_table(2, x),
@@ -211,7 +204,6 @@ _SCALAR_SLOTS = {
 _WIRE_SCALAR_SLOTS = {
     "element wire coeff":
         lambda x: AlgebraElement.from_dict(_element(coeff=x)),
-    "matrix wire coeff": lambda x: TensorOperator.from_dict(_matrix(coeff=x)),
     "polynomial wire coeff":
         lambda x: Polynomial.from_dict({"coeffs": {"0": x}}),
 }
@@ -237,10 +229,6 @@ def test_non_integer_entries_are_refused(bad):
 _RANGE_SLOTS = {
     "encode digit": (lambda x: encode([x], 3), 0, 2),
     "decode index": (lambda x: decode(x, 2, 2), 0, 3),
-    "matrix wire row": (lambda x: TensorOperator.from_dict(
-        {"n": 2, "N": 2, "entries": [[x, 0, "0"]]}), 0, 3),
-    "matrix wire column": (lambda x: TensorOperator.from_dict(
-        {"n": 2, "N": 2, "entries": [[0, x, "0"]]}), 0, 3),
     "operator entry diagonal":
         (lambda x: TensorOperator.identity(2, 2).entry(x, x), 0, 3),
     "operator entry column":

@@ -20,13 +20,14 @@ from youngops import (
     enumerate_syt,
     hermitian_young,
     orthogonality_report,
+    partitions,
     permutation_matrix,
     realize,
     run_verification,
     symmetrizer,
     young_operator,
 )
-from youngops import config, tensor_rep
+from youngops import tensor_rep
 from youngops.sn_algebra import sn_table
 from youngops.tensor_rep import basis_table
 from oracles import (
@@ -169,7 +170,7 @@ def test_tensor_size_rule_edges():
     # The cap has one name; its old name DEFAULT_SIZE_CAP is gone.
     assert TENSOR_MAX_DIM == 4096
     assert not hasattr(youngops, "DEFAULT_SIZE_CAP")
-    assert not hasattr(config, "DEFAULT_SIZE_CAP")
+    assert not hasattr(tensor_rep, "DEFAULT_SIZE_CAP")
     assert basis_table(1, 4096).dim == basis_table(12, 2).dim == 4096
     with pytest.raises(SizeLimitError):
         basis_table(1, 4097)
@@ -177,6 +178,20 @@ def test_tensor_size_rule_edges():
         with pytest.raises(ValueError) as info:
             basis_table(n, N)
         assert not isinstance(info.value, SizeLimitError)
+
+
+def test_one_sided_rules_have_one_wording_each():
+    # n >= 0 and N >= 1 are read by one rule each, wherever they are read
+    for call, message in (
+            (lambda: decode(0, 2, -1), "n must be nonnegative, got -1"),
+            (lambda: basis_table(-1, 2), "n must be nonnegative, got -1"),
+            (lambda: partitions(-1), "n must be nonnegative, got -1"),
+            (lambda: decode(0, 0, 1), "N must be positive, got 0"),
+            (lambda: encode([0], -1), "N must be positive, got -1"),
+            (lambda: basis_table(1, 0), "N must be positive, got 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    assert decode(0, 2, 0) == () and decode(3, 2, 2) == (1, 1)
 
 
 def test_warm_tables_still_apply_the_integer_rule():
@@ -203,8 +218,9 @@ def test_numpy_keys_give_the_int_table_and_int_values():
     for value in (embed_element(x, three), symmetrizer([1, 2], three),
                   run_verification(two, suites=["traces"])):
         assert type(value.n) is int
-    wire = TensorOperator.from_dict({"n": two, "N": two, "entries": []})
-    assert type(wire.n) is int and type(wire.N) is int
+    for op in (TensorOperator(two, two, np.identity(4, dtype=np.int64)),
+               TensorOperator.zero(two, two)):
+        assert type(op.n) is int and type(op.N) is int
 
 
 class _NoArrays:
@@ -216,8 +232,6 @@ class _NoArrays:
 # tensor_rep touches numpy or lays out an N^n x N^n array.
 OVERSIZED = {
     "constructor": lambda: TensorOperator(1, 4097, np.zeros((1, 1), int)),
-    "from_dict": lambda: TensorOperator.from_dict(
-        {"n": 1, "N": 4097, "entries": []}),
     "identity": lambda: TensorOperator.identity(1, 4097),
     "zero": lambda: TensorOperator.zero(1, 4097),
     "realize": lambda: realize(AlgebraElement.one(1), 4097),
@@ -227,9 +241,6 @@ OVERSIZED = {
 
 @pytest.mark.parametrize("entry", sorted(OVERSIZED))
 def test_every_tensor_entry_point_refuses_past_the_cap(monkeypatch, entry):
-    def no_dense(*args):
-        raise AssertionError("dense array built before the size check")
-    monkeypatch.setattr(tensor_rep, "_common_denominator", no_dense)
     monkeypatch.setattr(tensor_rep, "np", _NoArrays())
     with pytest.raises(SizeLimitError):
         OVERSIZED[entry]()
@@ -398,8 +409,7 @@ def test_every_operation_keeps_operators_weight_diagonal(data, space):
     n, N = space
     a, b = (realize(data.draw(element_strategy(n=n)), N) for _ in range(2))
     ops = [a, b, TensorOperator.identity(n, N), TensorOperator.zero(n, N),
-           a + b, a - b, a.scale(F(-3, 7)), -a, a @ b, a.transpose(),
-           TensorOperator.from_dict(a.to_dict())]
+           a + b, a - b, a.scale(F(-3, 7)), -a, a @ b, a.transpose()]
     if n >= 2:
         ops.append(a.partial_trace())
     for m in ops:
@@ -411,11 +421,10 @@ def test_off_block_entry_is_refused():
     num[0, 3] = 1  # |00> and |11> have different weights
     with pytest.raises(ValueError, match=r"entry \(0, 3\) lies off"):
         TensorOperator(2, 2, num)
-    data = TensorOperator.identity(2, 2).to_dict()
-    data["entries"].append([3, 0, "1/2"])
+    num[0, 3], num[3, 0] = 0, 1
     with pytest.raises(ValueError, match=r"entry \(3, 0\) lies off"):
-        TensorOperator.from_dict(data)
-    num[0, 3] = 0
+        TensorOperator(2, 2, num, 2)
+    num[3, 0] = 0
     assert TensorOperator(2, 2, num) == TensorOperator.identity(2, 2)
 
 
@@ -740,51 +749,15 @@ def test_report_input_validation():
                               TensorOperator.identity(1, 2)])
 
 
-# -- wire format -------------------------------------------------------------------
-
-
-def test_matrix_json_round_trip():
-    m = realize(hermitian_young(T("12/3")), 2)
-    d = m.to_dict()
-    assert d["n"] == 3 and d["N"] == 2
-    positions = [(e[0], e[1]) for e in d["entries"]]
-    assert positions == sorted(positions)  # row-major
-    assert all(e[2] != "0" for e in d["entries"])  # zeros omitted
-    assert TensorOperator.from_dict(d) == m
-
-
-def test_matrix_json_of_swap():
-    d = permutation_matrix((2, 1), 2).to_dict()
-    assert d["entries"] == [[0, 0, "1"], [1, 2, "1"], [2, 1, "1"], [3, 3, "1"]]
-
-
-def test_matrix_from_dict_refuses_a_float_coefficient():
-    # Fraction(0.1) would keep the binary value 3602879701896397/2**55.
-    with pytest.raises(TypeError):
-        TensorOperator.from_dict({"n": 2, "N": 2, "entries": [[0, 0, 0.1]]})
-    m = TensorOperator.from_dict({"n": 2, "N": 2, "entries": [[0, 0, 3]]})
-    assert m.entry(0, 0) == 3
-
-
-def test_matrix_from_dict_refuses_a_negative_index():
-    # numpy would wrap -1 to the last row and column, entry (3, 3)
-    with pytest.raises(ValueError, match=r"^row -1 outside 0\.\.3$"):
-        TensorOperator.from_dict({"n": 2, "N": 2, "entries": [[-1, -1, "1"]]})
+# -- entries ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("index", [4, 2 ** 70, 1.0, "1", True, None])
-def test_matrix_from_dict_refuses_an_index_outside_the_basis(index):
-    # numpy indexing would raise IndexError, or spread True and None over
+def test_entry_refuses_an_index_outside_the_basis(index):
+    # numpy indexing would raise IndexError, or read True and None as
     # whole rows; a non-integer fails the integer rule first
     error, match = ((ValueError, rf"^row {index} outside 0\.\.3$")
                     if type(index) is int else
                     (TypeError, "expected an integer"))
     with pytest.raises(error, match=match):
-        TensorOperator.from_dict({"n": 2, "N": 2,
-                                  "entries": [[index, index, "1"]]})
-
-
-def test_matrix_from_dict_refuses_a_repeated_entry():
-    d = {"n": 2, "N": 2, "entries": [[1, 2, "1"], [1, 2, "2"]]}
-    with pytest.raises(ValueError, match=r"entry \(1, 2\) appears twice"):
-        TensorOperator.from_dict(d)
+        TensorOperator.identity(2, 2).entry(index, index)
