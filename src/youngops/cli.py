@@ -2,13 +2,16 @@
 
 Subcommands:
   tableaux   enumerate standard Young tableaux as JSON
-  operator   construct a (conventional or Hermitian) Young operator
-  trace      trace polynomial of such an operator
+  operator   construct a (conventional or Hermitian) Young operator as JSON
+  trace      trace polynomial of such an operator as JSON
   dims       dimension table f_T(N), |T|, f_T(N)/|T| for all T at n
   verify     run verification suites and report pass/fail per check
 
 Exit codes: 0 all requested work passed, 1 at least one verification
 check failed, 2 usage error (bad arguments, unknown suite, size cap).
+
+JSON is output only: `operator` and `trace` read their tableau in the
+compact form "123/45", which every tableau up to ALGEBRA_MAX_N boxes has.
 
 All stdout output is byte-stable across runs; per-suite timings go to
 stderr only.  A --json-out path is opened before any work starts, as a
@@ -22,7 +25,7 @@ import json
 import sys
 from typing import IO, Sequence
 
-from .sn_algebra import hermitian_young, young_operator
+from .sn_algebra import ALGEBRA_MAX_N, hermitian_young, young_operator
 from .tableaux import TABLEAU_MAX_N, YoungTableau, enumerate_syt
 from .verify import (
     DEFAULT_TENSOR_DIMS,
@@ -32,21 +35,6 @@ from .verify import (
     read_tensor_dims,
     run_verification,
 )
-
-
-def _parse_tableau(text: str) -> YoungTableau:
-    if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"bad tableau JSON: {exc}") from None
-        try:
-            return YoungTableau.from_dict(data)
-        except KeyError as exc:
-            raise ValueError(f"bad tableau JSON: missing key {exc}") from None
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"bad tableau JSON: {exc}") from None
-    return YoungTableau.from_string(text)
 
 
 def _open_json_out(path: str | None):
@@ -75,7 +63,7 @@ def _emit(payload: dict | list, json_out: IO[str] | None, *,
 
 
 def _operator_for(args: argparse.Namespace):
-    t = _parse_tableau(args.tableau)
+    t = YoungTableau.from_string(args.tableau)
     if args.kind == "hermitian":
         return hermitian_young(t)
     return young_operator(t)
@@ -180,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("tableau",
-                       help="tableau, compact (123/45) or JSON")
+                       help="tableau, compact (123/45)")
         p.add_argument("--kind", choices=("conventional", "hermitian"),
                        default="conventional",
                        help="operator family (default: conventional)")
@@ -195,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dims)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--n", type=int, required=True, help="number of boxes")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"number of boxes (1..{ALGEBRA_MAX_N})")
     p.add_argument("--N", type=int, action="append", default=None,
                    help="tensor dimension for the tensor suite "
                         f"(repeatable; default {DEFAULT_TENSOR_DIMS})")

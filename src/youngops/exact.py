@@ -19,10 +19,10 @@ the subclass.
 
 Everything read from outside follows rules kept here: `_integer`, then
 `_nonnegative` (n >= 0), `_tensor_dimension` (N >= 1) or `_in_range`
-(an index, digit, slot or cell in lo..hi), and `_scalar`.  None accepts
-a bool, truncates a float or wraps an index.  `_integer_table` keys the
-per-degree tables on the integer rule.  Each size cap sits beside the
-structure that applies it, and raises `SizeLimitError`.
+(an index, digit, slot or cell in lo..hi), and `_scalar`, the one
+scalar rule.  None accepts a bool, truncates a float or wraps an index.
+`_integer_table` keys the per-degree tables on the integer rule; each
+size cap sits beside the structure it guards, raising `SizeLimitError`.
 """
 from __future__ import annotations
 
@@ -170,13 +170,6 @@ def _scalar(c) -> Fraction:
     if isinstance(c, bool) or not isinstance(c, Rational):
         raise TypeError(f"bad scalar type {type(c).__name__}")
     return Fraction(int(c.numerator), int(c.denominator))
-
-
-def _wire_scalar(c) -> Fraction:
-    """A coefficient read from the JSON wire format: a string ("p/q") is
-    parsed exactly, anything else follows the scalar rule, so a JSON
-    float raises TypeError rather than keeping its binary value."""
-    return Fraction(c) if isinstance(c, str) else _scalar(c)
 
 
 class _Exact:

@@ -5,15 +5,15 @@ A permutation is a tuple p of length n with p[k-1] = p(k); entries are
 b acts first. This matches how permutation operators multiply when each
 permutes the factors of a tensor product.
 Every permutation read goes through the one permutation check,
-`_checked`; degrees follow the integer rule (`exact._integer`) and
-slots the range rule (`exact._in_range`).
+`_checked`; entries follow the integer rule (`exact._integer`), degrees
+`exact._nonnegative` and slots the range rule (`exact._in_range`).
 """
 from __future__ import annotations
 
 from itertools import permutations as _itertools_permutations
 from typing import Iterator, Sequence
 
-from .exact import _in_range, _integer
+from .exact import _in_range, _integer, _nonnegative
 
 Perm = tuple[int, ...]
 
@@ -30,7 +30,7 @@ def _checked(p: Sequence[int], n: int | None = None) -> Perm:
 
 
 def identity(n: int) -> Perm:
-    return tuple(range(1, _integer(n) + 1))
+    return tuple(range(1, _nonnegative(n) + 1))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -49,7 +49,7 @@ def inverse(p: Perm) -> Perm:
 
 def transposition(n: int, i: int, j: int) -> Perm:
     """The permutation of 1..n exchanging i and j, both in 1..n."""
-    n = _integer(n)
+    n = _nonnegative(n)
     i, j = _in_range(i, 1, n, "slot"), _in_range(j, 1, n, "slot")
     p = list(range(1, n + 1))
     p[i - 1], p[j - 1] = j, i
@@ -93,5 +93,5 @@ def sign(p: Perm) -> int:
 
 def all_permutations(n: int) -> Iterator[Perm]:
     """All n! permutations of 1..n in lexicographic one-line order."""
-    return _itertools_permutations(range(1, _integer(n) + 1))
+    return _itertools_permutations(range(1, _nonnegative(n) + 1))
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from numbers import Rational
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .exact import _integer, _scalar, _wire_scalar
+from .exact import _integer, _scalar
 
 
 class Polynomial:
@@ -140,7 +140,7 @@ class Polynomial:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
 
-    # -- JSON wire format -------------------------------------------------
+    # -- JSON output ------------------------------------------------------
 
     def to_dict(self) -> dict:
         """{"coeffs": {"<degree>": "<p/q>", ...}}; the constant term is
@@ -150,16 +150,3 @@ class Polynomial:
             if k > 0 and c != 0:
                 coeffs[str(k)] = str(c)
         return {"coeffs": coeffs}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Polynomial":
-        """Read `to_dict`'s form.  A degree key must be in canonical
-        decimal form, ASCII digits with no sign, space or leading zero,
-        so no two keys name one degree."""
-        raw = {}
-        for k, v in data["coeffs"].items():
-            if not (isinstance(k, str) and k.isascii() and k.isdigit()
-                    and (k == "0" or k[0] != "0")):
-                raise ValueError(f"non-canonical or negative degree {k!r}")
-            raw[int(k)] = _wire_scalar(v)
-        return cls([raw.get(k, 0) for k in range(max(raw, default=-1) + 1)])

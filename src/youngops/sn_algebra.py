@@ -43,7 +43,7 @@ import numpy as np
 
 from .exact import (SizeLimitError, _Exact, _common_denominator,
                     _exact_dtype, _frozen, _in_range, _integer_table,
-                    _lincomb, _maxabs, _scalar, _wire_scalar)
+                    _lincomb, _maxabs, _scalar)
 from .permutations import (Perm, _checked, all_permutations, cycle_count,
                            cycle_type)
 from .polynomial import Polynomial
@@ -392,7 +392,7 @@ class AlgebraElement(_Exact):
         return (self._new(self.n - 1, looped, self.den),
                 self._new(self.n - 1, spliced, self.den))
 
-    # -- JSON wire format ----------------------------------------------------
+    # -- JSON output ---------------------------------------------------------
 
     def to_dict(self) -> dict:
         """{"n":3,"terms":[{"perm":[2,1,3],"coeff":"1/3"},...]}, terms
@@ -400,16 +400,6 @@ class AlgebraElement(_Exact):
         return {"n": self.n,
                 "terms": [{"perm": list(p), "coeff": str(c)}
                           for p, c in self.terms.items()]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AlgebraElement":
-        terms = {}
-        for t in data["terms"]:
-            perm = tuple(t["perm"])
-            if perm in terms:
-                raise ValueError(f"permutation {perm} appears twice")
-            terms[perm] = _wire_scalar(t["coeff"])
-        return cls(data["n"], terms)
 
 
 def embed_element(a: AlgebraElement, n: int) -> AlgebraElement:

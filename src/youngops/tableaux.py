@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .exact import (SizeLimitError, _in_range, _integer, _nonnegative,
                     _tensor_dimension)
@@ -199,7 +199,7 @@ class YoungTableau:
             rows.pop()
         return (YoungTableau(rows), k0, j0)
 
-    # -- presentation and wire formats ------------------------------------
+    # -- the compact form and JSON output -------------------------------
 
     def to_string(self) -> str:
         """Compact "123/45" form; digits only, so n <= 9."""
@@ -219,13 +219,6 @@ class YoungTableau:
 
     def to_dict(self) -> dict:
         return {"shape": list(self.shape.rows), "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "YoungTableau":
-        t = cls(data["rows"])
-        if "shape" in data and YoungDiagram(data["shape"]) != t.shape:
-            raise ValueError(f"shape {data['shape']} does not match rows")
-        return t
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, YoungTableau) and self.rows == other.rows

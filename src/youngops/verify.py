@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exact import _Exact, _tensor_dimension
+from .exact import SizeLimitError, _Exact, _tensor_dimension
 from .sn_algebra import (
     AlgebraElement,
     embed_element,
@@ -24,16 +24,19 @@ from .sn_algebra import (
     sn_table,
     young_operator,
 )
-from .tableaux import YoungTableau, _dimension, enumerate_syt
+from .tableaux import (YoungDiagram, YoungTableau, _dimension, enumerate_syt,
+                       partitions)
 from .tensor_rep import TensorOperator, basis_table, realize
 
 DEFAULT_TENSOR_DIMS = (2, 3)
 
 
 def read_tensor_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    """The N of `verify` and `dims`, each by `_tensor_dimension`; a
-    repeated N runs once, at its first place."""
-    return tuple(dict.fromkeys(map(_tensor_dimension, dims)))
+    """The N of `verify` and `dims`, at least one, each by
+    `_tensor_dimension`; a repeated N runs once, at its first place."""
+    if not (dims := tuple(dict.fromkeys(map(_tensor_dimension, dims)))):
+        raise ValueError("need at least one N")
+    return dims
 
 
 class UnknownSuiteError(ValueError):
@@ -298,6 +301,10 @@ def orthogonality_report(ops: Sequence[TensorOperator],
                                TensorOperator.identity(first.n, first.N))])
 
 
+# Dense int64 entries of all P_T the tensor suite holds for one N: 2 GiB.
+_TENSOR_SUITE_MAX_ENTRIES = 2 ** 28
+
+
 def _suite_tensor(ctx: _Context) -> list[CheckResult]:
     out = []
     names = [t.to_string() for t in ctx.tableaux]
@@ -373,8 +380,8 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
     """Run the requested suites (default: `default_suites(n)`) and
     return a fully sorted report.  Every input is refused before any
     suite runs: n by `sn_table`, then the suite names, the N by
-    `read_tensor_dims` and, with the tensor suite, each N**n by the
-    `basis_table` that suite needs anyway."""
+    `read_tensor_dims` (None: DEFAULT_TENSOR_DIMS) and, with the tensor
+    suite, each N**n by `basis_table` and the suite's size by its cap."""
     n = sn_table(n).n
     if suites is None:
         chosen = default_suites(n)
@@ -384,10 +391,16 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
             if name not in _SUITES:
                 raise UnknownSuiteError(
                     f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    dims = read_tensor_dims(tensor_dims or DEFAULT_TENSOR_DIMS)
+    dims = read_tensor_dims(DEFAULT_TENSOR_DIMS if tensor_dims is None
+                            else tensor_dims)
     if "tensor" in chosen:
+        syt = sum(YoungDiagram(p).syt_count() for p in partitions(n))
         for N in dims:
-            basis_table(n, N)
+            size = syt * basis_table(n, N).dim ** 2
+            if size > _TENSOR_SUITE_MAX_ENTRIES:
+                raise SizeLimitError(
+                    f"tensor suite at n={n}, N={N} would hold {size} "
+                    f"entries, past {_TENSOR_SUITE_MAX_ENTRIES}")
     ctx = _Context(n, dims)
     report = VerificationReport(n=n, tensor_dims=dims)
     for name in sorted(set(chosen)):

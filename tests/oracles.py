@@ -217,6 +217,21 @@ def naive_realize(a, N):
     return out
 
 
+def element_from_json(data):
+    """The AlgebraElement that `to_dict` wrote as `data`, rebuilt through
+    the public constructor, each "p/q" coefficient by Fraction; nothing
+    is validated."""
+    return AlgebraElement(data["n"], {tuple(t["perm"]): Fraction(t["coeff"])
+                                      for t in data["terms"]})
+
+
+def polynomial_from_json(data):
+    """The Polynomial that `to_dict` wrote as `data`, rebuilt through the
+    public constructor; the "0" key is always there."""
+    coeffs = {int(k): Fraction(c) for k, c in data["coeffs"].items()}
+    return Polynomial([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
+
+
 @st.composite
 def permutation_strategy(draw, n):
     return tuple(draw(st.permutations(range(1, n + 1))))

@@ -13,10 +13,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from youngops import (AlgebraElement, Polynomial, YoungTableau,
-                      enumerate_syt, hermitian_young, tableaux, verify,
-                      young_operator)
+from youngops import (YoungTableau, enumerate_syt, hermitian_young, tableaux,
+                      verify, young_operator)
 from youngops.cli import main
+from oracles import element_from_json, polynomial_from_json
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 STDOUT_PINS = REPO / ".github" / "stdout"
@@ -58,13 +58,6 @@ def test_operator_hermitian(capsys):
     assert coeffs[(1, 2, 3)] == "1/3" and coeffs[(1, 3, 2)] == "-1/6"
 
 
-def test_operator_accepts_json_input(capsys):
-    text = json.dumps({"shape": [2, 1], "rows": [[1, 2], [3]]})
-    code, out, _ = run_cli(capsys, "operator", text)
-    assert code == 0
-    assert json.loads(out)["n"] == 3
-
-
 def test_trace_known_polynomial(capsys):
     code, out, _ = run_cli(capsys, "trace", "12/3")
     assert code == 0
@@ -72,22 +65,25 @@ def test_trace_known_polynomial(capsys):
 
 
 def _read_tableaux(data):
-    return [YoungTableau.from_dict(d) for d in data]
+    tableaux = [YoungTableau(d["rows"]) for d in data]
+    assert [d["shape"] for d in data] == [list(t.shape.rows) for t in tableaux]
+    return tableaux
 
 
-# The wire-format writers pinned in CI: pin name, argv, the reader of
-# the output and the value the library builds.
+# The JSON writers pinned in CI: pin name, argv, a naive rebuild of the
+# value from the output, through the public constructors, and the value
+# the library builds.
 WIRE_PINS = [
     ("tableaux-n4", ["tableaux", "--n", "4"], _read_tableaux,
      lambda: enumerate_syt(4)),
     ("operator-hermitian-135-24", ["operator", "135/24", "--kind", "hermitian"],
-     AlgebraElement.from_dict,
+     element_from_json,
      lambda: hermitian_young(YoungTableau.from_string("135/24"))),
     ("operator-conventional-1234-567", ["operator", "1234/567"],
-     AlgebraElement.from_dict,
+     element_from_json,
      lambda: young_operator(YoungTableau.from_string("1234/567"))),
     ("trace-hermitian-135-24", ["trace", "135/24", "--kind", "hermitian"],
-     Polynomial.from_dict,
+     polynomial_from_json,
      lambda: hermitian_young(
          YoungTableau.from_string("135/24")).trace_polynomial()),
 ]
@@ -301,12 +297,18 @@ def _assert_one_line_error(code, err):
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "8"],
     ["verify", "--n", "6", "--N", "5"],  # 5**6 > TENSOR_MAX_DIM
-    ["operator", '{"rows":[[1,2,3,4,5,6,7,8,9,10]]}'],
+    ["operator", "12345678"],  # 8 > ALGEBRA_MAX_N
+    # Each N^n passes TENSOR_MAX_DIM, but the tensor suite would hold
+    # all its dense P_T at once: about 9 GB of int64 at n = 7, N = 3
+    # (the default N = 2, 3), and 10 GB at n = 6, N = 4.
+    ["verify", "--n", "7"],
+    ["verify", "--n", "6", "--N", "4"],
 ])
 def test_size_caps_refuse_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args):
         raise AssertionError("work started before the size check")
     monkeypatch.setattr(verify, "enumerate_syt", no_work)
+    monkeypatch.setattr(verify, "realize", no_work)
     code, out, err = run_cli(capsys, *argv)
     _assert_one_line_error(code, err)  # so no "# timing" line either
     assert out == ""
@@ -325,17 +327,19 @@ def test_tableau_cap_refuses_before_enumeration(capsys, monkeypatch, argv):
     assert "1..10" in err and out == ""
 
 
-# Non-integer entries are refused, not truncated: 2.9 is not read as 2,
-# nor "1" as 1, nor true as 1.
-MALFORMED_TABLEAUX = ['{"rows":5}', '{"shape":[2]}', '{"rows":[[1.5]]}',
-                      '{"rows":[[1,2.9],[3]]}', '{"rows":[["1"]]}',
-                      '{"rows":[[true]]}', '{"rows":[[1]],"shape":[true]}']
+# A tableau argument in JSON, even a well-formed one, is refused: JSON is
+# output only, and the compact form is read.
+MALFORMED_TABLEAUX = ['{"rows":[[1,2],[3]]}', '{"rows":5}', '{"shape":[2]}',
+                      '{"rows":[[1.5]]}', '{"rows":[[1,2.9],[3]]}',
+                      '{"rows":[["1"]]}', '{"rows":[[true]]}',
+                      '{"rows":[[1]],"shape":[true]}']
 
 
 @pytest.mark.parametrize("text", MALFORMED_TABLEAUX)
 def test_malformed_tableau_json_exits_two(capsys, text):
     code, _, err = run_cli(capsys, "operator", text)
     _assert_one_line_error(code, err)
+    assert err == f"error: bad tableau string {text!r}\n"
 
 
 def test_unwritable_json_out_exits_two(capsys, tmp_path):
@@ -345,16 +349,16 @@ def test_unwritable_json_out_exits_two(capsys, tmp_path):
 
 
 def test_deeply_nested_tableau_json_exits_two(capsys):
-    depth = 5000  # past the JSON decoder's recursion limit
+    depth = 5000  # a 10,010-character argument still gets one line
     text = '{"rows": ' + "[" * depth + "]" * depth + "}"
     code, out, err = run_cli(capsys, "trace", text)
     _assert_one_line_error(code, err)
-    assert err.startswith("error: bad tableau JSON: ") and out == ""
+    assert err.startswith("error: bad tableau string ") and out == ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("argv", [
-    ["operator", '{"rows": [[1]]}'],
+    ["operator", "1"],
     ["dims", "--n", "2", "--N", "2"],
     ["verify", "--n", "2", "--suite", "completeness"],
 ])

@@ -13,18 +13,21 @@ from youngops import (
     TENSOR_MAX_DIM,
     TensorOperator,
     YoungTableau,
+    all_permutations,
     compose,
     decode,
     encode,
     embed_element,
     enumerate_syt,
     hermitian_young,
+    identity,
     orthogonality_report,
     partitions,
     permutation_matrix,
     realize,
     run_verification,
     symmetrizer,
+    transposition,
     young_operator,
 )
 from youngops import tensor_rep
@@ -186,12 +189,17 @@ def test_one_sided_rules_have_one_wording_each():
             (lambda: decode(0, 2, -1), "n must be nonnegative, got -1"),
             (lambda: basis_table(-1, 2), "n must be nonnegative, got -1"),
             (lambda: partitions(-1), "n must be nonnegative, got -1"),
+            (lambda: identity(-2), "n must be nonnegative, got -2"),
+            (lambda: all_permutations(-1), "n must be nonnegative, got -1"),
+            (lambda: transposition(-1, 1, 1),
+             "n must be nonnegative, got -1"),
             (lambda: decode(0, 0, 1), "N must be positive, got 0"),
             (lambda: encode([0], -1), "N must be positive, got -1"),
             (lambda: basis_table(1, 0), "N must be positive, got 0")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
     assert decode(0, 2, 0) == () and decode(3, 2, 2) == (1, 1)
+    assert identity(0) == () and list(all_permutations(0)) == [()]
 
 
 def test_warm_tables_still_apply_the_integer_rule():

@@ -5,6 +5,7 @@ import pytest
 
 from youngops import (
     AlgebraElement,
+    SizeLimitError,
     TensorOperator,
     YoungTableau,
     realize,
@@ -133,6 +134,43 @@ def test_read_tensor_dims():
     for bad in ([2.0], [True], ["2"]):
         with pytest.raises(TypeError):
             read_tensor_dims(bad)
+
+
+def test_no_tensor_dimension_is_refused_before_any_suite(monkeypatch):
+    # Only None picks DEFAULT_TENSOR_DIMS; an empty list is no N at all,
+    # not a request for N = 2, 3.
+    def no_work(*args):
+        raise AssertionError("work started before the N were read")
+    monkeypatch.setattr(verify, "enumerate_syt", no_work)
+    for call in (lambda: read_tensor_dims([]),
+                 lambda: run_verification(3, tensor_dims=[]),
+                 lambda: run_verification(3, tensor_dims=(),
+                                          suites=["traces"])):
+        with pytest.raises(ValueError, match="^need at least one N$"):
+            call()
+
+
+class _SuiteReached(Exception):
+    pass
+
+
+def test_tensor_suite_cap_counts_every_operator(monkeypatch):
+    # The tensor suite holds one dense N^n x N^n matrix per standard
+    # tableau at once.  Its cap admits every pinned run and refuses the
+    # next sizes (1.27 G and 1.11 G entries); a run within the cap reaches
+    # the suite, whose first call is hermitian_young.
+    def reached(*args):
+        raise _SuiteReached
+    monkeypatch.setattr(verify, "hermitian_young", reached)
+    for n, N in ((4, 4), (5, 4), (6, 3), (7, 2)):
+        with pytest.raises(_SuiteReached):
+            run_verification(n, tensor_dims=[N], suites=["tensor"])
+    for n, N in ((6, 4), (7, 3)):
+        with pytest.raises(SizeLimitError,
+                           match=f"^tensor suite at n={n}, N={N} would "):
+            run_verification(n, tensor_dims=[2, N], suites=["tensor"])
+    # without the tensor suite, N is not sized
+    run_verification(6, tensor_dims=[4], suites=["littlewood"])
 
 
 def test_report_dict_shape():
