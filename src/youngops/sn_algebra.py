@@ -49,17 +49,6 @@ from .permutations import (Perm, _checked, all_permutations, cycle_count,
 from .polynomial import Polynomial
 from .tableaux import YoungTableau
 
-__all__ = [
-    "AlgebraElement",
-    "embed_element",
-    "symmetrizer",
-    "antisymmetrizer",
-    "young_operator",
-    "hermitian_young",
-    "primitivity_check",
-    "inequivalence_check",
-]
-
 Scalar = int | Fraction
 
 # Entries gathered per step of a product; bounds its temporaries.

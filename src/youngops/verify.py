@@ -379,9 +379,10 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
                      suites: Sequence[str] | None = None) -> VerificationReport:
     """Run the requested suites (default: `default_suites(n)`) and
     return a fully sorted report.  Every input is refused before any
-    suite runs: n by `sn_table`, then the suite names, the N by
-    `read_tensor_dims` (None: DEFAULT_TENSOR_DIMS) and, with the tensor
-    suite, each N**n by `basis_table` and the suite's size by its cap."""
+    suite runs: n by `sn_table`, then a suite name that is unknown or
+    not defined at n, the N by `read_tensor_dims` (None:
+    DEFAULT_TENSOR_DIMS) and, with the tensor suite, each N**n by
+    `basis_table` and the suite's size by its cap."""
     n = sn_table(n).n
     if suites is None:
         chosen = default_suites(n)
@@ -391,6 +392,8 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
             if name not in _SUITES:
                 raise UnknownSuiteError(
                     f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+            if not _SUITES[name].applies(n):
+                raise ValueError(f"suite {name!r} is not defined at n={n}")
     dims = read_tensor_dims(DEFAULT_TENSOR_DIMS if tensor_dims is None
                             else tensor_dims)
     if "tensor" in chosen:
@@ -404,13 +407,8 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
     ctx = _Context(n, dims)
     report = VerificationReport(n=n, tensor_dims=dims)
     for name in sorted(set(chosen)):
-        suite = _SUITES[name]
         start = time.perf_counter()
-        if suite.applies(n):
-            checks = suite.run(ctx)
-        else:
-            checks = [CheckResult(f"{name}:skipped", "(not applicable)", True,
-                                  f"suite not defined at n={n}")]
+        checks = _SUITES[name].run(ctx)
         checks.sort(key=lambda c: c.check_id)
         report.suites.append(SuiteReport(
             suite=name, checks=checks,

@@ -314,6 +314,14 @@ def test_size_caps_refuse_before_any_work(capsys, monkeypatch, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("n, name", [
+    (3, "littlewood"), (4, "appendix-shortcut"), (1, "partial-trace")])
+def test_inapplicable_suite_exits_two(capsys, n, name):
+    code, out, err = run_cli(capsys, "verify", "--n", str(n), "--suite", name)
+    assert err == f"error: suite {name!r} is not defined at n={n}\n"
+    assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["tableaux", "--n", "11"],
     ["dims", "--n", "11", "--N", "2"],

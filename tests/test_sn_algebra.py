@@ -213,6 +213,29 @@ def test_zero_product_exact_past_float64():
     assert (zero * big).is_zero() and (big * zero).is_zero()
 
 
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("big, path", [
+    (7, np.float64), (2 ** 28, np.int64), (2 ** 40, object)],
+    ids=["float64", "int64", "object"])
+def test_product_bound_paths_past_one_chunk(monkeypatch, n, big, path):
+    # A chunk gathers 22 rows at n = 6 and 3 at n = 7, so factors of 30
+    # and 41 terms take several chunks, the last one short; b * a
+    # gathers from a after the (b* a*)* swap.  Integral coefficients up
+    # to `big` in magnitude put the bound big**2 * 30 on each dtype path.
+    assert 30 > sn_algebra._CHUNK // factorial(n)
+    rng = np.random.default_rng(n)
+    perms = list(all_permutations(n))
+    picks = rng.choice(len(perms), 71, replace=False).tolist()
+    signs = rng.choice([-1, 1], 71).tolist()
+    mags = [big] + rng.integers(1, big, 70, endpoint=True).tolist()
+    terms = [(perms[i], s * m) for i, s, m in zip(picks, signs, mags)]
+    a = AlgebraElement(n, dict(terms[:30]))
+    b = AlgebraElement(n, dict(terms[30:]))
+    for x, y in ((a, b), (b, a)):
+        assert _kernel_path(monkeypatch, lambda: x * y,
+                            naive_multiply(x, y)) == {path}
+
+
 def test_equal_elements_hash_equal():
     as_int = AlgebraElement(2, {(2, 1): 1})
     as_frac = AlgebraElement(2, {(2, 1): F(3, 3)})

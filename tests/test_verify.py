@@ -106,13 +106,24 @@ def test_appendix_suite_at_five():
     assert rep.passed_count == 3
 
 
-def test_requested_inapplicable_suite_is_skipped():
-    rep = run_verification(3, tensor_dims=[2], suites=["littlewood"])
-    assert rep.passed
-    checks = rep.suites[0].checks
-    assert len(checks) == 1
-    assert checks[0].check_id == "littlewood:skipped"
-    assert "n=3" in checks[0].witness
+class _SuiteReached(Exception):
+    pass
+
+
+def test_requested_inapplicable_suite_is_refused(monkeypatch):
+    # A named suite that is not defined at n is refused before any suite
+    # runs, even one named ahead of it: no check passes for work not done.
+    def reached(ctx):
+        raise _SuiteReached
+    for key, suite in _SUITES.items():
+        monkeypatch.setitem(_SUITES, key, suite._replace(run=reached))
+    for n, name in ((3, "littlewood"), (4, "appendix-shortcut"),
+                    (1, "partial-trace")):
+        for suites in ([name], ["completeness", name]):
+            with pytest.raises(
+                    ValueError,
+                    match=f"^suite {name!r} is not defined at n={n}$"):
+                run_verification(n, tensor_dims=[2], suites=suites)
 
 
 def test_unknown_suite_rejected():
@@ -150,10 +161,6 @@ def test_no_tensor_dimension_is_refused_before_any_suite(monkeypatch):
             call()
 
 
-class _SuiteReached(Exception):
-    pass
-
-
 def test_tensor_suite_cap_counts_every_operator(monkeypatch):
     # The tensor suite holds one dense N^n x N^n matrix per standard
     # tableau at once.  Its cap admits every pinned run and refuses the
@@ -170,7 +177,8 @@ def test_tensor_suite_cap_counts_every_operator(monkeypatch):
                            match=f"^tensor suite at n={n}, N={N} would "):
             run_verification(n, tensor_dims=[2, N], suites=["tensor"])
     # without the tensor suite, N is not sized
-    run_verification(6, tensor_dims=[4], suites=["littlewood"])
+    with pytest.raises(_SuiteReached):
+        run_verification(6, tensor_dims=[4], suites=["hermiticity"])
 
 
 def test_report_dict_shape():
@@ -192,7 +200,8 @@ def test_repeated_tensor_dimensions_run_once_in_order():
 
 
 def test_check_ids_are_unique_across_every_suite():
-    rep = run_verification(4, tensor_dims=[2, 3, 2], suites=SUITE_NAMES)
+    # n = 5 is the one degree where every suite is defined
+    rep = run_verification(5, tensor_dims=[2, 3, 2], suites=SUITE_NAMES)
     ids = [c.check_id for s in rep.suites for c in s.checks]
     assert len(ids) == len(set(ids))
 

@@ -3,7 +3,8 @@
 Each mutant below weakens one dtype threshold, proved bound or guard in a
 fresh copy of `src/`; the bound-edge tests, run against that copy, must
 fail on every one.  A mutant that no test catches is a bound that no
-test hits at its edge.
+test hits at its edge.  The bound-edge tests are those whose names
+match SELECT, so a test added for a new mutant is named to match it.
 
     python tools/bound_mutants.py
 
@@ -45,6 +46,10 @@ MUTANTS = [
     ("sn_algebra.py",
      "    if not len(rows):\n        return np.zeros(out_len, dtype=np.int64)\n",
      ""),
+    # the product's chunk loop: drop the last chunk of a multi-chunk
+    # gather (test_product_bound_paths_past_one_chunk)
+    ("sn_algebra.py", "range(0, len(rows), step)",
+     "range(0, max(1, len(rows) - step), step)"),
     # the trace polynomial: max|num| * |supp num|
     ("sn_algebra.py", "_maxabs(self.num) * int(np.count_nonzero(self.num))",
      "_maxabs(self.num)"),
