@@ -97,17 +97,6 @@ def _lowest_terms(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return num, den
 
 
-def _common_denominator(size: int, fractions: list[tuple[int, Fraction]]
-                        ) -> tuple[np.ndarray, int]:
-    """(num, den) of the vector of `size` holding f at each (index, f)
-    of `fractions` and 0 elsewhere, over the lcm of the denominators."""
-    den = lcm(*(f.denominator for _, f in fractions))
-    num = np.zeros(size, dtype=object)
-    for index, f in fractions:
-        num[index] = f.numerator * (den // f.denominator)
-    return num, den
-
-
 def _integer(x: object) -> int:
     """x as an int: an int or other numbers.Integral, numpy integers
     included; anything else, a bool included, raises TypeError rather

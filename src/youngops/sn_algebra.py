@@ -6,12 +6,13 @@ numerator per permutation, indexed by the permutation's lexicographic
 rank, over one positive common denominator, in lowest terms.  The
 numerators are int64 whenever every entry fits and Python integers
 (object dtype) when one does not; sums, scaling and equality are those
-of every exact value (`exact._Exact`).  What depends on n alone -- the
-permutations in rank order, the composition table, the inverse,
-cycle-count and sign vectors, the index map of the partial trace, and
-one Young-operator template per shape -- is held by one
-read-only table per n, each part built on first use: the composition
-table by the first product, its one reader.
+of every exact value (`exact._Exact`).  What depends on n alone is
+held by one read-only table per n.  The permutations in rank order,
+their inverses and, from one pass over their cycle types, their
+conjugacy-class ids, cycle counts and signs are built with the table;
+the composition table (by the first product, its one reader), the
+index map of the partial trace and one Young-operator template per
+shape are built on first use.
 
 A product gathers, for each nonzero a_i, the row of b that sigma_i
 maps onto each target permutation (through the composition table
@@ -36,16 +37,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .exact import (SizeLimitError, _Exact, _common_denominator,
-                    _exact_dtype, _frozen, _in_range, _integer_table,
-                    _lincomb, _maxabs, _scalar)
-from .permutations import (Perm, _checked, all_permutations, cycle_count,
-                           cycle_type)
+from .exact import (SizeLimitError, _Exact, _exact_dtype, _frozen,
+                    _in_range, _integer_table, _lincomb, _maxabs, _scalar)
+from .permutations import Perm, _checked, all_permutations, cycle_type
 from .polynomial import Polynomial
 from .tableaux import YoungTableau
 
@@ -79,8 +79,11 @@ class _SnTable:
     `images[i]` is permutation i in one-line form, 0-based: the one copy
     of S_n.  A code is a one-line form read as a base-n number;
     `_rank_of_code` (n**n entries) turns codes back into ranks, so no
-    map below needs an n! x n! x n intermediate.  Every array the table
-    keeps is read-only once built, since all later operators read it.
+    map below needs an n! x n! x n intermediate.  One pass reads each
+    permutation's cycle type: `classes` numbers the types in order of
+    first appearance, and `cycles` (the length of each type) and `sign`
+    follow from it.  Every array the table keeps is read-only once
+    built, since all later operators read it.
     Degrees outside 1..ALGEBRA_MAX_N are refused.
     """
 
@@ -98,8 +101,11 @@ class _SnTable:
         rank_of_code[self.images @ self._weights] = np.arange(self.size)
         self._rank_of_code = _frozen(rank_of_code)
         self.inverse = _frozen(self.ranks(np.argsort(self.images, axis=1)))
-        self.cycles = _frozen(np.array(
-            [cycle_count(p) for p in (self.images + 1).tolist()]))
+        types: dict[tuple[int, ...], int] = {}
+        self.classes = _frozen(np.array(
+            [types.setdefault(cycle_type(p), len(types))
+             for p in (self.images + 1).tolist()]))
+        self.cycles = _frozen(np.array(list(map(len, types)))[self.classes])
         self.sign = _frozen(np.where((n - self.cycles) % 2, -1, 1))
         self._templates: dict[tuple[int, ...], _YoungTemplate] = {}
 
@@ -115,14 +121,6 @@ class _SnTable:
         rows = [_checked(p, self.n) for p in given]
         images = np.array(rows, dtype=np.intp).reshape(len(rows), self.n)
         return self.ranks(images - 1)
-
-    @cached_property
-    def classes(self) -> np.ndarray:
-        """Conjugacy-class id of each permutation: its cycle type,
-        numbered in order of first appearance."""
-        ids: dict[tuple[int, ...], int] = {}
-        return _frozen(np.array([ids.setdefault(cycle_type(p), len(ids))
-                                 for p in (self.images + 1).tolist()]))
 
     @cached_property
     def comp(self) -> np.ndarray:
@@ -263,10 +261,14 @@ class AlgebraElement(_Exact):
     def __init__(self, n: int, terms: Mapping[Perm, Scalar] = ()):
         table = sn_table(n)
         terms = dict(terms)
-        coeffs = [(rank, _scalar(c)) for rank, c in
-                  zip(table.checked_ranks(terms).tolist(), terms.values())]
+        ranks = table.checked_ranks(terms).tolist()
+        coeffs = [_scalar(c) for c in terms.values()]
+        den = lcm(*(c.denominator for c in coeffs))
+        num = np.zeros(table.size, dtype=object)
+        for rank, c in zip(ranks, coeffs):
+            num[rank] = c.numerator * (den // c.denominator)
         self.n = table.n
-        self._store(*_common_denominator(table.size, coeffs))
+        self._store(num, den)
 
     def _space(self) -> tuple[int]:
         return (self.n,)
@@ -374,7 +376,7 @@ class AlgebraElement(_Exact):
         n-1 spliced permutations landing on each target.
         """
         if self.n < 2:
-            raise ValueError("partial trace requires degree >= 2")
+            raise ValueError("partial trace requires n >= 2")
         table = sn_table(self.n)
         looped = self.num[table.embedding(self.n - 1)]
         spliced = _lincomb([(1, row) for row in self.num[table.splice]])

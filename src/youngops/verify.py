@@ -379,15 +379,19 @@ def run_verification(n: int, tensor_dims: Sequence[int] | None = None,
                      suites: Sequence[str] | None = None) -> VerificationReport:
     """Run the requested suites (default: `default_suites(n)`) and
     return a fully sorted report.  Every input is refused before any
-    suite runs: n by `sn_table`, then a suite name that is unknown or
-    not defined at n, the N by `read_tensor_dims` (None:
-    DEFAULT_TENSOR_DIMS) and, with the tensor suite, each N**n by
-    `basis_table` and the suite's size by its cap."""
+    suite runs: n by `sn_table`, then `suites` if it is a bare str, empty
+    or holds a name that is unknown or not defined at n, the N by
+    `read_tensor_dims` (None: DEFAULT_TENSOR_DIMS) and, with the tensor
+    suite, each N**n by `basis_table` and the suite's size by its cap."""
     n = sn_table(n).n
     if suites is None:
         chosen = default_suites(n)
     else:
-        chosen = list(suites)
+        if isinstance(suites, str):
+            raise TypeError(f"suites must be a sequence of names, not the "
+                            f"str {suites!r}")
+        if not (chosen := list(suites)):
+            raise ValueError("need at least one suite")
         for name in chosen:
             if name not in _SUITES:
                 raise UnknownSuiteError(

@@ -25,6 +25,7 @@ from youngops import (
     transposition,
     young_operator,
 )
+from youngops.permutations import cycle_count, cycle_type, sign as perm_sign
 from oracles import (
     all_fillings,
     element_from_json,
@@ -640,6 +641,22 @@ def test_table_arrays_are_read_only():
         assert not array.flags.writeable, name
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_table_class_data_matches_the_tuple_helpers(n):
+    # classes, cycles and sign come from one cycle-type pass; each must
+    # agree with the one-permutation helpers on every permutation
+    table = sn_algebra.sn_table(n)
+    perms = list(all_permutations(n))
+    assert table.cycles.tolist() == [cycle_count(p) for p in perms]
+    assert table.sign.tolist() == [perm_sign(p) for p in perms]
+    ids = table.classes.tolist()
+    first_seen = {}
+    for p, i in zip(perms, ids):
+        assert first_seen.setdefault(cycle_type(p), i) == i
+    # distinct types get distinct ids, numbered 0, 1, ... as they appear
+    assert list(first_seen.values()) == list(range(len(first_seen)))
+
+
 def test_young_operator_builds_no_composition_table():
     # Y_T is a scatter over permutation images; only a product reads
     # comp, the n! x n! table (51 MB at n = 7).  A fresh process, so no
@@ -732,7 +749,7 @@ def test_partial_trace_of_identity():
 
 
 def test_partial_trace_requires_two_slots():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^partial trace requires n >= 2$"):
         AlgebraElement.one(1).partial_trace()
 
 

@@ -650,7 +650,7 @@ def test_operations_match_fraction_oracle_at_every_magnitude(case):
                 == naive_matrix_partial_trace(fa, N))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(element_strategy(n=3, max_terms=6), element_strategy(n=3, max_terms=6),
        st.sampled_from([2, 3]),
        st.lists(st.sampled_from([1, 2 ** 24, 2 ** 31, 2 ** 80]),
@@ -680,8 +680,12 @@ def test_matrix_partial_trace_of_identity():
 
 
 def test_matrix_partial_trace_requires_two_slots():
-    with pytest.raises(ValueError):
-        TensorOperator.identity(1, 2).partial_trace()
+    # the algebra and the matrix layer contract the same last slot, so
+    # they refuse a one-slot operand with one message
+    for one_slot in (AlgebraElement.one(1), TensorOperator.identity(1, 2)):
+        with pytest.raises(ValueError,
+                           match=r"^partial trace requires n >= 2$"):
+            one_slot.partial_trace()
 
 
 def test_matrix_partial_trace_young_recursion():

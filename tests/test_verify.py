@@ -126,6 +126,21 @@ def test_requested_inapplicable_suite_is_refused(monkeypatch):
                 run_verification(n, tensor_dims=[2], suites=suites)
 
 
+def test_suite_request_that_runs_nothing_is_refused(monkeypatch):
+    # An empty list would PASS with no check run, and a bare str would be
+    # read one character at a time; both are refused before any suite.
+    def reached(ctx):
+        raise _SuiteReached
+    for key, suite in _SUITES.items():
+        monkeypatch.setitem(_SUITES, key, suite._replace(run=reached))
+    for suites in ([], ()):
+        with pytest.raises(ValueError, match="^need at least one suite$"):
+            run_verification(3, tensor_dims=[2], suites=suites)
+    for name in ("traces", "t", ""):
+        with pytest.raises(TypeError, match="not the str"):
+            run_verification(2, tensor_dims=[2], suites=name)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(UnknownSuiteError):
         run_verification(3, suites=["no-such-suite"])
